@@ -18,7 +18,7 @@ from repro.core.combination import (
 )
 from repro.core.prediction import LookAheadMaxPredictor
 from repro.core.profiles import table_i_profiles
-from repro.core.scheduler import BMLScheduler
+from repro.core.scheduler import BMLScheduler, _decision_ids
 from repro.sim.datacenter import execute_plan
 from repro.sim.energy import combination_power
 from repro.sim.loop import EventDrivenReplay
@@ -315,7 +315,7 @@ def test_perf_decision_scan_day(benchmark, infra, diurnal_day_trace):
     initial = table.combination_for(float(pred[0]))
 
     def scan():
-        cid, changes, grid_idx = replay._decision_ids(pred)
+        cid, changes, grid_idx = _decision_ids(table, pred, strict=False)
         return replay._reconfig_schedule(
             pred, cid, changes, grid_idx, initial
         )

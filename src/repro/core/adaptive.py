@@ -40,7 +40,7 @@ from .bml import BMLInfrastructure
 from .combination import Combination, CombinationTable
 from .prediction import LookAheadMaxPredictor, Predictor
 from .reconfiguration import SchedulePlan, build_plan, reconfiguration_window
-from .scheduler import ScheduleOutcome, _next_decision, _row_ids
+from .scheduler import ScheduleOutcome, _decision_ids, _next_decision
 
 __all__ = ["TransitionAwareScheduler", "transition_cost"]
 
@@ -122,11 +122,9 @@ class TransitionAwareScheduler:
         table = self.infra.table(max_rate, self.method)
         loads = trace.values
 
-        counts = table.counts_for(pred)
-        cid = _row_ids(counts)
-        changes = np.flatnonzero(cid[1:] != cid[:-1]) + 1
+        cid, changes, idx = _decision_ids(table, pred)
 
-        initial = table.combination_for(float(pred[0]))
+        initial = table.combo_at(idx[0])
         current = initial
         cur_id: Optional[int] = int(cid[0])
 
@@ -136,7 +134,7 @@ class TransitionAwareScheduler:
             td = _next_decision(cid, changes, t, cur_id)
             if td is None:
                 break
-            ideal = table.combination_for(float(pred[td]))
+            ideal = table.combo_at(idx[td])
             target = self._choose(current, ideal, pred, loads, td, window, table)
             if target == current:
                 # hysteresis: stay; look again a bit later (or at the next

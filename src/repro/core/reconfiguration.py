@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .combination import Combination
 from .profiles import ArchitectureProfile
@@ -246,9 +246,15 @@ def build_plan(
     ``allow_overlap_trim=True`` instead silently drops late-arriving
     decisions that fall inside a running reconfiguration — useful for
     simple calendar policies like the per-day baseline).
+
+    Each ``(before, after)`` pair is planned once and shifted to later
+    decision times — exact, as no bound, power or energy of
+    :func:`plan_reconfiguration` depends on the decision time; only a
+    reconfiguration the horizon clips is planned directly.
     """
     segments: List[Segment] = []
     events: List[Reconfiguration] = []
+    templates: Dict[Tuple[Combination, Combination], tuple] = {}
     current = initial
     t = 0
     for when, target in decisions:
@@ -265,7 +271,12 @@ def build_plan(
             continue
         if when > t:
             segments.append(Segment(t, when, current))
-        recon_segs, event = plan_reconfiguration(when, current, target, horizon)
+        template = templates.get((current, target))
+        if template is not None and when + template[1].duration <= horizon:
+            recon_segs, event = _shifted(template, when, current, target)
+        else:
+            recon_segs, event = plan_reconfiguration(when, current, target, horizon)
+            templates[current, target] = (recon_segs, event)
         segments.extend(recon_segs)
         events.append(event)
         current = target
@@ -276,4 +287,25 @@ def build_plan(
         segments.append(Segment(t, horizon, current))
     return SchedulePlan(
         horizon=horizon, initial=initial, segments=segments, reconfigurations=events
+    )
+
+
+def _shifted(
+    template: Tuple[List[Segment], Reconfiguration],
+    when: int,
+    current: Combination,
+    target: Combination,
+) -> Tuple[List[Segment], Reconfiguration]:
+    """An unclipped reconfiguration plan moved to decision time ``when``."""
+    segs, ev = template
+    shift = when - ev.decided_at
+    handover = ev.decided_at + ev.boot_duration
+    return [
+        Segment(s.t_start + shift, s.t_end + shift,
+                current if s.t_start < handover else target, s.overhead_power)
+        for s in segs
+    ], Reconfiguration(
+        decided_at=when, completes_at=ev.completes_at + shift, before=current,
+        after=target, boot_duration=ev.boot_duration, off_duration=ev.off_duration,
+        on_energy=ev.on_energy, off_energy=ev.off_energy,
     )

@@ -10,16 +10,15 @@ completion time.  When nothing changes, the window simply slides one time
 step forward.
 
 Implementation note: the decision loop never walks the trace second by
-second.  Predictions are vectorised (sliding maximum), rates map to
-combination identifiers through the precomputed
-:class:`~repro.core.combination.CombinationTable`, and the loop jumps
-straight from one decision to the next change point, so planning an
-87-day 1 Hz trace costs milliseconds per reconfiguration, not per second.
+second.  Per-second combination ids are gathered from ids encoded once on
+the table's rows (:func:`_decision_ids`), the loop jumps from one decision
+to the next change point, and each distinct ``(from, to)`` transition's
+blocking window — like its reconfiguration plan in
+:func:`~repro.core.reconfiguration.build_plan` — is derived once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -118,38 +117,37 @@ class BMLScheduler:
 
         # Combination identifier per time step: two predicted rates that
         # map to the same machine multiset must not trigger a decision.
-        counts = table.counts_for(pred)  # (T, n_arch) int array
-        cid = _row_ids(counts)
-        changes = np.flatnonzero(cid[1:] != cid[:-1]) + 1
+        cid, changes, idx = _decision_ids(table, pred)
 
-        initial = (
-            self.initial
-            if self.initial is not None
-            else table.combination_for(float(pred[0]))
-        )
+        initial = table.combo_at(idx[0]) if self.initial is None else self.initial
         current = initial
-        cur_id = cid[0] if self.initial is None else None
+        cur_id = int(cid[0]) if self.initial is None else None
 
+        # Blocking window per (from id, to id): ids fix both combinations.
+        spans: Dict[Tuple[Optional[int], int], int] = {}
         decisions: List[Tuple[int, Combination]] = []
         t = 0
         while t < horizon:
             td = _next_decision(cid, changes, t, cur_id)
             if td is None:
                 break
-            target = table.combination_for(float(pred[td]))
+            new_id = int(cid[td])
+            target = table.combo_at(idx[td])
             if target == current:
-                # distinct row id but same machines (cannot happen with
-                # well-formed ids; kept as a safety net)
-                cur_id = cid[td]
+                # only an explicit initial combination (no id) can match
+                cur_id = new_id
                 t = td + 1
                 continue
             decisions.append((td, target))
-            boot, off = reconfiguration_window(current, target)
+            span = spans.get((cur_id, new_id))
+            if span is None:
+                boot, off = reconfiguration_window(current, target)
+                span = spans[cur_id, new_id] = max(boot + off, 1)
             current = target
-            cur_id = cid[td]
+            cur_id = new_id
             # No decision before the reconfiguration completes; the next
             # prediction window starts from the completion time.
-            t = td + max(boot + off, 1)
+            t = td + span
         return ScheduleOutcome(
             plan=build_plan(horizon, initial, decisions),
             predictions=pred,
@@ -185,6 +183,27 @@ def _row_ids(counts: np.ndarray) -> np.ndarray:
     return ((counts - mins).astype(np.int64) * weights).sum(axis=1)
 
 
+def _decision_ids(
+    table: CombinationTable, pred: np.ndarray, *, strict: bool = True
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-second combination ids, their change points and grid indices.
+
+    Row ids are gathered through ``table.clipped_index``'s grid rounding:
+    O(T) int64, no ``(T, n_arch)`` count matrix.  A rate beyond the table
+    raises ``counts_for``'s :class:`CombinationError` (``strict``, the
+    planners) or gets the id ``-1``, which the replay raises on only if
+    that second is checked for a decision, like the per-second reference.
+    """
+    idx, oob = table.clipped_index(pred)
+    cid = _row_ids(table.counts_array)[idx]
+    if oob.any():
+        if strict:
+            table.counts_for(pred[oob])  # raises
+        cid[oob] = -1
+    changes = np.flatnonzero(cid[1:] != cid[:-1]) + 1
+    return cid, changes, idx
+
+
 def _next_decision(
     cid: np.ndarray,
     changes: np.ndarray,
@@ -203,7 +222,7 @@ def _next_decision(
     if cur_id is None or cid[t] != cur_id:
         return t
     # jump through precomputed change points
-    pos = int(np.searchsorted(changes, t, side="right"))
+    pos = int(changes.searchsorted(t, side="right"))
     while pos < len(changes):
         c = int(changes[pos])
         if cid[c] != cur_id:

@@ -159,15 +159,16 @@ class EnergyMeter:
       eliminating the per-machine-per-segment cumsum/concatenate cost.
       The buffered chain replays the exact ``record_series`` call
       sequence float-for-float, so totals stay bit-identical.
-    * :meth:`begin_batch` / :meth:`batch_mark` / :meth:`record_batch` —
-      the two-phase replay's journal: between ``begin_batch`` and
-      ``record_batch`` every ``set_power`` call is *journaled* instead of
-      settled, interleaved with window markers (:meth:`batch_mark`), so
-      the control pass touches no ledger math at all.  ``record_batch``
-      replays the journal in chronological order — transitions through
-      the real ``set_power``, markers resolved to the same
-      :meth:`record_gather` calls the segment engine would have made —
-      which makes batching trivially bit-identical to recording live.
+    * :meth:`begin_batch` / :meth:`batch_mark` /
+      :meth:`record_batch_windows` — the two-phase replay's journal:
+      between ``begin_batch`` and ``record_batch_windows`` every
+      ``set_power`` call is *journaled* instead of settled, interleaved
+      with window markers (:meth:`batch_mark`), so the control pass
+      touches no ledger math at all.  ``record_batch_windows`` walks the
+      journal in chronological order — transitions as ``set_power``
+      would settle them, markers resolved to run-coalesced gathers of
+      the same per-second powers :meth:`record_gather` would buffer —
+      so batching stays bit-identical to recording live.
     """
 
     _totals: Dict[str, float] = field(default_factory=dict)
@@ -180,8 +181,8 @@ class EnergyMeter:
     _pending: Dict[str, List] = field(default_factory=dict, repr=False)
     #: Open journal (two-phase control pass), or ``None`` when live.  A
     #: ``(machine_id, power, now)`` tuple is a journaled ``set_power``;
-    #: any other entry is an opaque window marker for ``record_batch``'s
-    #: resolver.
+    #: any other entry is an opaque window marker for
+    #: ``record_batch_windows``'s resolver.
     _batch: Optional[List] = field(default=None, repr=False)
 
     # -- journal mode (two-phase replay) ------------------------------------
@@ -197,35 +198,10 @@ class EnergyMeter:
             raise RuntimeError("no batch journal open")
         self._batch.append(token)
 
-    def record_batch(self, emit) -> None:
-        """Close the journal and settle it in chronological order.
-
-        ``emit(token)`` is called for each :meth:`batch_mark` marker and
-        must write that window's deferred contributions back to this
-        meter — one :meth:`record_gather` call per serving machine (the
-        two-phase replay closes over its evaluated windows).  Because the
-        journal preserves the exact interleaving of transitions and
-        windows the control pass observed, replaying it performs the
-        same float operations, in the same order, as recording live
-        would have: each machine's full contribution stream still
-        settles through the deferred-ledger cumsum chain.
-        """
-        journal = self._batch
-        if journal is None:
-            raise RuntimeError("no batch journal open")
-        self._batch = None
-        set_power = self.set_power
-        for entry in journal:
-            if type(entry) is tuple:
-                set_power(*entry)
-            else:
-                emit(entry)
-
     def record_batch_windows(self, resolve) -> None:
         """Close the journal and settle it with run-coalesced gathers.
 
-        Fast path of :meth:`record_batch`: instead of one
-        :meth:`record_gather` call per (marker, machine),
+        Instead of one :meth:`record_gather` call per (marker, machine),
         ``resolve(token)`` returns the marker's evaluated gather bundle
         ``(machine_ids, draws, inverse, offset, length, t_start)`` —
         per-machine series ``draws[i][offset:offset+length]``, or
@@ -569,13 +545,6 @@ class EnergyMeter:
                 chain[pos] = piece
                 pos += 1
         return pos
-
-    @staticmethod
-    def _assemble(pieces: List) -> np.ndarray:
-        """A machine's buffered stream as one closed-contribution vector."""
-        chain = np.empty(EnergyMeter._stream_length(pieces))
-        EnergyMeter._fill_stream(chain, 0, pieces)
-        return chain
 
     def _flush(self, machine_id: str) -> None:
         """Settle a machine's buffered contributions in one cumsum pass."""

@@ -48,8 +48,9 @@ Three engines replay that rule:
   consecutive ones — concatenates their rate windows and runs each
   group through **one** kernel invocation, scattering results back
   through a run-level gather plan; the journal is settled afterwards by
-  :meth:`~repro.sim.energy.EnergyMeter.record_batch`, so each machine's
-  full contribution stream collapses to a handful of ``np.cumsum``
+  :meth:`~repro.sim.energy.EnergyMeter.record_batch_windows`, which
+  merges each machine's adjacent windows into run-coalesced gathers, so
+  its full contribution stream collapses to a handful of ``np.cumsum``
   passes over the whole run.  The kernel chain is elementwise over the
   rate values, so evaluating a group's concatenation is bit-identical
   to evaluating its windows one by one — the same property suite pins
@@ -79,7 +80,7 @@ from ..core.prediction import (
     cached_prediction_series,
 )
 from ..core.reconfiguration import Reconfiguration
-from ..core.scheduler import _next_decision, _row_ids
+from ..core.scheduler import _decision_ids, _next_decision
 from ..workload.trace import LoadTrace
 from .application import Application, ApplicationSpec
 from .cluster import Cluster
@@ -438,28 +439,6 @@ class EventDrivenReplay:
         clamp = self.table.max_rate if self.cluster.is_bounded else None
         return cached_prediction_series(self.predictor, trace, clamp=clamp)
 
-    def _decision_ids(
-        self, pred: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Mixed-radix combination id per second, change points and indices.
-
-        Rates beyond the table get the sentinel id ``-1``: the first such
-        second that is checked for a decision triggers a table lookup and
-        raises exactly where the per-second reference would (seconds inside
-        reconfiguration windows are never checked by either engine).  The
-        returned grid indices let decision points fetch their combination
-        with ``table.combo_at`` instead of re-deriving the lookup.
-        """
-        # Ids are encoded on the table's few thousand rows once, then
-        # gathered per second through the table's own (non-raising) grid
-        # rounding — O(T) int64, no (T, n_arch) intermediate.
-        idx, oob = self.table.clipped_index(pred)
-        table_ids = _row_ids(self.table.counts_array)
-        cid = table_ids[idx]
-        cid[oob] = -1
-        changes = np.flatnonzero(cid[1:] != cid[:-1]) + 1
-        return cid, changes, idx
-
     def _ready_serving(self, t: int) -> List[Machine]:
         """Serving machines whose instance can take traffic at second ``t``."""
         return [
@@ -572,7 +551,7 @@ class EventDrivenReplay:
         initial = self.table.combination_for(float(pred[0]))
         self._materialise_initial(initial, 0.0)
 
-        cid, changes, grid_idx = self._decision_ids(pred)
+        cid, changes, grid_idx = _decision_ids(self.table, pred, strict=False)
         cur_id = int(cid[0])
         values = trace.values
         # One whole-trace check lets every window skip its own (the
@@ -811,7 +790,7 @@ class EventDrivenReplay:
         self.meter.begin_batch()
         self._materialise_initial(initial, 0.0)
 
-        cid, changes, grid_idx = self._decision_ids(pred)
+        cid, changes, grid_idx = _decision_ids(self.table, pred, strict=False)
         sched = self._reconfig_schedule(pred, cid, changes, grid_idx, initial)
 
         descs: List[Tuple[int, int, int, int]] = []

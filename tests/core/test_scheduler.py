@@ -223,3 +223,53 @@ class TestRowIds:
             np.flatnonzero(ids[1:] != ids[:-1]),
             np.flatnonzero(ref[1:] != ref[:-1]),
         )
+
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_decision_ids_change_points_match_unique(
+        self, infra, short_trace, truncate
+    ):
+        from repro.core.scheduler import _decision_ids
+
+        table = infra.table(float(short_trace.peak))
+        rates = short_trace.values
+        if truncate:
+            table = table.truncated(len(table) // 2)
+            rates = np.minimum(rates, table.max_rate)
+        cid, changes, idx = _decision_ids(table, rates)
+        counts = table.counts_for(rates)
+        _, ref = np.unique(counts, axis=0, return_inverse=True)
+        ref = ref.reshape(-1)
+        assert np.array_equal(changes, np.flatnonzero(ref[1:] != ref[:-1]) + 1)
+        assert np.array_equal(table.counts_array[idx], counts)
+
+    def test_out_of_table_rate_marks_sentinel_or_raises(self, infra):
+        from repro.core.combination import CombinationError
+        from repro.core.scheduler import _decision_ids
+
+        table = infra.table(3000.0).truncated(100)
+        rates = np.array([10.0, 50.0, 5000.0, 20.0])
+        cid, _, _ = _decision_ids(table, rates, strict=False)
+        assert cid[2] == -1 and (cid[[0, 1, 3]] >= 0).all()
+        with pytest.raises(CombinationError) as want:
+            table.counts_for(rates)
+        with pytest.raises(CombinationError) as got:
+            _decision_ids(table, rates)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("planner", ["bml", "transition-aware"])
+    def test_out_of_table_rate_raises_in_planner(self, infra, short_trace, planner):
+        """A table too small for the predictions fails like ``counts_for``."""
+        from types import SimpleNamespace
+
+        from repro.core.adaptive import TransitionAwareScheduler
+        from repro.core.combination import CombinationError
+
+        small = infra.table(float(short_trace.peak)).truncated(30)
+        stub = SimpleNamespace(table=lambda *args, **kwargs: small)
+        cls = BMLScheduler if planner == "bml" else TransitionAwareScheduler
+        sched = cls(stub)
+        with pytest.raises(CombinationError) as want:
+            small.counts_for(sched.predictor.series(short_trace))
+        with pytest.raises(CombinationError) as got:
+            sched.plan(short_trace)
+        assert str(got.value) == str(want.value)
