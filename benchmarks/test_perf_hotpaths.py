@@ -2,9 +2,10 @@
 
 Not a paper artifact — these guard the engineering that makes the 87-day
 1 Hz replay practical: the sliding-maximum predictor, combination-table
-construction, vectorised power evaluation, the scheduler's jump loop and
-the plan executor.  Regressions here turn the Fig. 5 benchmark from
-seconds into hours (a naive per-second Python loop over 7.5 M samples).
+construction, vectorised power evaluation, the scheduler's jump loop, the
+plan executor and the per-second lower bound.  Regressions here turn the
+Fig. 5 benchmark from seconds into hours (a naive per-second Python loop
+over 7.5 M samples).
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.core.combination import (
 from repro.core.prediction import LookAheadMaxPredictor
 from repro.core.profiles import table_i_profiles
 from repro.core.scheduler import BMLScheduler, _decision_ids
-from repro.sim.datacenter import execute_plan
+from repro.sim.datacenter import execute_plan, lower_bound_result
 from repro.sim.energy import combination_power
 from repro.sim.loop import EventDrivenReplay
 from repro.workload.sliding import lookahead_max, trailing_max
@@ -177,6 +178,15 @@ def test_perf_plan_execution(benchmark, infra, week_trace):
     """Energy/QoS integration of a planned week."""
     plan = BMLScheduler(infra).plan(week_trace)
     result = benchmark(execute_plan, plan, week_trace)
+    assert result.total_energy > 0
+
+
+@pytest.mark.benchmark(group="perf")
+def test_perf_lower_bound(benchmark, infra, week_trace):
+    """The per-second lower bound over a week (block-wise ``power_at_load``)."""
+    table = infra.table(max(week_trace.peak, 1.0))
+    result = benchmark(lower_bound_result, week_trace, table)
+    assert result.power.shape == week_trace.values.shape
     assert result.total_energy > 0
 
 

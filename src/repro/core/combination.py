@@ -84,6 +84,9 @@ __all__ = [
 ]
 
 _TOL = 1e-9
+#: Samples per block of the block-wise series kernels (``power_at_load``,
+#: ``sim.datacenter.execute_plan``): their temporaries stay cache-sized.
+_BLOCK = 1 << 16
 
 
 class CombinationError(ValueError):
@@ -938,9 +941,8 @@ class CombinationTable:
 
     # -- lookups -----------------------------------------------------------
     def _index(self, rate: Union[float, np.ndarray]) -> Union[int, np.ndarray]:
-        idx = np.ceil(np.asarray(rate, dtype=float) / self.resolution - _TOL)
-        idx = np.clip(idx, 0, None).astype(np.int64)
-        if np.any(idx >= len(self._combos)):
+        idx, oob = self.clipped_index(rate)
+        if oob.any():
             raise CombinationError(
                 f"rate {np.max(np.asarray(rate))} beyond table max {self.max_rate}"
             )
@@ -951,10 +953,12 @@ class CombinationTable:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Non-raising grid indices: ``(clipped index, out-of-range mask)``.
 
-        Same rounding as :meth:`_index`, but rates beyond the table clamp
-        to the last row and are flagged instead of raising — for callers
-        (the segment replay's decision scan) that must defer the error to
-        the moment the out-of-range rate is actually consulted.
+        The one grid rounding every lookup uses (:meth:`_index` raises on
+        the mask), but rates beyond the table clamp to the last row and
+        are flagged instead of raising — for callers (the segment replay's
+        decision scan) that must defer the error to the moment the
+        out-of-range rate is actually consulted.  A scalar rate gives
+        NumPy scalars.
         """
         arr = np.asarray(rate, dtype=float)
         if arr.ndim:
@@ -967,9 +971,12 @@ class CombinationTable:
             np.clip(tmp, 0, None, out=tmp)
             idx = tmp.astype(np.int64)
         else:
+            # 0-d: ufuncs return NumPy scalars, which take no ``out=``.
             idx = np.clip(
                 np.ceil(arr / self.resolution - _TOL), 0, None
             ).astype(np.int64)
+            oob = idx >= len(self._combos)
+            return np.minimum(idx, len(self._combos) - 1), oob
         oob = idx >= len(self._combos)
         np.minimum(idx, len(self._combos) - 1, out=idx)
         return idx, oob
@@ -1002,18 +1009,28 @@ class CombinationTable:
         The combination is the one :meth:`combination_for` picks (load
         rounded up to the grid), but its draw is evaluated at the
         instantaneous load via linear interpolation inside the grid cell —
-        this is what the theoretical lower bound integrates.
+        this is what the theoretical lower bound integrates.  Loads are
+        evaluated in ``_BLOCK``-sample blocks, so no temporary is
+        trace-length; each load gets the same float ops as in one pass.
         """
         arr = np.asarray(load, dtype=float)
-        idx = self._index(arr)
-        hi = self._power[idx]
-        lo = self._power_floor[idx]
-        cell_start = np.maximum(idx - 1, 0) * self.resolution
-        frac = np.where(
-            idx > 0, (arr - cell_start) / self.resolution, 0.0
-        )
-        out = lo + (hi - lo) * np.clip(frac, 0.0, 1.0)
-        return float(out) if np.ndim(load) == 0 else out
+        flat = arr.reshape(-1)
+        out = np.empty(flat.size)
+        for b0 in range(0, flat.size, _BLOCK):
+            x = flat[b0 : b0 + _BLOCK]
+            idx, oob = self.clipped_index(x)
+            if oob.any():
+                self._index(arr)  # raises, naming the whole input's maximum
+            hi, lo = self._power[idx], self._power_floor[idx]
+            frac = np.maximum(idx - 1, 0) * self.resolution  # cell start
+            np.subtract(x, frac, out=frac)
+            np.divide(frac, self.resolution, out=frac)
+            frac[idx == 0] = 0.0
+            np.clip(frac, 0.0, 1.0, out=frac)
+            np.subtract(hi, lo, out=hi)
+            np.multiply(hi, frac, out=hi)
+            np.add(lo, hi, out=out[b0 : b0 + _BLOCK])
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def counts_for(self, rate: Union[float, np.ndarray]) -> np.ndarray:
         """Node-count row(s) for ``rate`` — shape ``(..., n_architectures)``."""

@@ -115,16 +115,19 @@ class SimulationResult:
     def engine(self) -> Optional[str]:
         """Which replay engine produced this result, when recorded.
 
-        ``"segments"``/``"reference"`` for the event-driven replay (see
-        :class:`repro.sim.loop.EventDrivenReplay`); ``None`` for results
-        whose producer predates or does not tag an engine.
+        ``"twophase"``/``"segments"``/``"reference"`` for the event-driven
+        replay (see :class:`repro.sim.loop.EventDrivenReplay`); ``None``
+        for results that tag no engine, such as plan integration's
+        (:func:`repro.sim.datacenter.execute_plan`) and the lower bound.
         """
         value = self.meta.get("engine")
         return str(value) if value is not None else None
 
     @property
     def n_segments(self) -> Optional[int]:
-        """Steady segments evaluated by the segment-compressed replay."""
+        """Steady segments evaluated by the segment-compressed replay, or
+        the plan segments :func:`repro.sim.datacenter.execute_plan`
+        integrated."""
         value = self.meta.get("segments")
         return int(value) if value is not None else None
 

@@ -259,6 +259,38 @@ class TestTables:
         assert len(table) == 101
         assert table.max_rate == 100.0
 
+    RATES = (0.0, 1e-10, 1.0, 1.0 + 1e-10, 1.0 + 1e-8, 8.2, 50.0, 99.5, 100.0)
+
+    @pytest.mark.parametrize("resolution", [1.0, 0.5, 2.5])
+    def test_clipped_index_scalar_0d_and_1d_agree_with_index(
+        self, trio, thresholds, resolution
+    ):
+        table = build_table(trio, thresholds, 100.0, resolution=resolution)
+        rates = np.array(self.RATES)
+        idx, oob = table.clipped_index(rates)
+        assert idx.tolist() == table._index(rates).tolist()
+        assert not oob.any()
+        for k, rate in enumerate(self.RATES):
+            for arg in (rate, np.array(rate)):
+                got, flag = table.clipped_index(arg)
+                assert np.ndim(got) == 0 and not flag
+                assert got == table._index(arg) == idx[k]
+
+    def test_clipped_index_flags_out_of_range_scalar(self, trio, thresholds):
+        table = build_table(trio, thresholds, 100.0)
+        for arg in (100.5, np.array(250.0)):
+            idx, oob = table.clipped_index(arg)
+            assert oob and idx == len(table) - 1
+            with pytest.raises(CombinationError, match="beyond table max 100.0"):
+                table._index(arg)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.4, 1.0, 9.5, 33.0, 529.0, 640.2])
+    def test_combo_at_clipped_index_is_combination_for(self, trio, thresholds, rate):
+        table = build_table(trio, thresholds, 700.0)
+        assert table.combo_at(table.clipped_index(rate)[0]) is table.combination_for(
+            rate
+        )
+
 
 class TestBoundedGreedy:
     def _infra(self):
