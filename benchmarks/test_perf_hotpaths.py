@@ -19,7 +19,7 @@ from repro.core.combination import (
 )
 from repro.core.prediction import LookAheadMaxPredictor
 from repro.core.profiles import table_i_profiles
-from repro.core.scheduler import BMLScheduler, _decision_ids
+from repro.core.scheduler import BMLScheduler, DecisionWalk, _decision_ids
 from repro.sim.datacenter import execute_plan, lower_bound_result
 from repro.sim.energy import combination_power
 from repro.sim.loop import EventDrivenReplay
@@ -194,22 +194,11 @@ def test_perf_lower_bound(benchmark, infra, week_trace):
 def test_perf_event_replay_reference_day(benchmark, infra, day_trace):
     """Per-second FSM reference over one day (86 400 s).
 
-    The O(seconds x machines) loop the segment engine replaced; the
-    reference/segments ratio in the benchmark JSON *is* the measured
-    speedup (PR 2's acceptance asks for >= 20x).
+    The O(seconds x machines) loop the two-phase engine replaced; the
+    reference/twophase ratio in the benchmark JSON *is* the measured
+    speedup.
     """
     _bench_replay(benchmark, infra, day_trace, "reference", rounds=2)
-
-
-@pytest.mark.benchmark(group="perf-replay")
-def test_perf_event_replay_segments_day(benchmark, infra, day_trace):
-    """Segment-compressed engine over the same day-long trace.
-
-    More rounds than the reference pair: sub-100 ms measurements on a
-    shared box need a deeper min to be comparable across PR artifacts.
-    """
-    result = _bench_replay(benchmark, infra, day_trace, "segments", rounds=5)
-    assert result.n_segments < len(day_trace) / 20
 
 
 @pytest.mark.benchmark(group="perf-replay")
@@ -217,11 +206,12 @@ def test_perf_event_replay_twophase_day(benchmark, infra, day_trace):
     """Two-phase control/evaluate engine over the same day-long trace.
 
     The PR 6 engine: one kernel invocation per serving set over the
-    whole run, journaled meter settling.  Compare against
-    ``segments_day`` for the batching win and ``reference_day`` for the
-    total speedup.
+    whole run, journaled meter settling.  More rounds than the
+    reference: sub-100 ms measurements on a shared box need a deeper
+    min to be comparable across PR artifacts.
     """
     result = _bench_replay(benchmark, infra, day_trace, "twophase", rounds=5)
+    assert result.n_segments < len(day_trace) / 20
     assert result.meta["batches"] <= result.meta["serving_sets"]
 
 
@@ -229,12 +219,6 @@ def test_perf_event_replay_twophase_day(benchmark, infra, day_trace):
 def test_perf_event_replay_reference_wc98(benchmark, infra, wc98_slice):
     """Per-second reference on a WC98 archive-format slice (1.5 h)."""
     _bench_replay(benchmark, infra, wc98_slice, "reference", rounds=4)
-
-
-@pytest.mark.benchmark(group="perf-replay")
-def test_perf_event_replay_segments_wc98(benchmark, infra, wc98_slice):
-    """Segment engine on the same WC98 slice."""
-    _bench_replay(benchmark, infra, wc98_slice, "segments", rounds=6)
 
 
 @pytest.mark.benchmark(group="perf-replay")
@@ -316,8 +300,9 @@ def test_perf_control_pass_day(benchmark, infra, diurnal_day_trace):
 @pytest.mark.benchmark(group="perf-control")
 def test_perf_decision_scan_day(benchmark, infra, diurnal_day_trace):
     """The batched reconfiguration bookkeeping: ids, change points and
-    the precomputed schedule — the pure-numpy front half of the control
-    pass, with no FSM or event queue in the loop."""
+    the shared decision walk over the whole series — the pure-numpy
+    front half of the control pass, with no FSM or event queue in the
+    loop."""
     pred_obj = LookAheadMaxPredictor(378)
     table = infra.table(float(np.max(diurnal_day_trace.values)))
     replay = EventDrivenReplay(table, diurnal_day_trace, predictor=pred_obj)
@@ -326,9 +311,8 @@ def test_perf_decision_scan_day(benchmark, infra, diurnal_day_trace):
 
     def scan():
         cid, changes, grid_idx = _decision_ids(table, pred, strict=False)
-        return replay._reconfig_schedule(
-            pred, cid, changes, grid_idx, initial
-        )
+        walk = DecisionWalk(table, initial, int(cid[0]), int(grid_idx[0]))
+        return walk.advance(0, cid, grid_idx, pred, changes)
 
     sched = benchmark(scan)
     assert sched

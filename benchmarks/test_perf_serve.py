@@ -4,9 +4,9 @@ Not a paper artifact — these pin the daemon's steady-state costs: the
 per-chunk feed path (incremental sliding-max + decision walk over the
 bounded tail buffer), the per-decision journal append (the fsync is the
 designed cost — it IS the durability guarantee), and a full crash-free
-day streamed second by second.  The per-boundary latency is what bounds
-how fast a live feed can be followed; a regression here turns a 1 Hz
-daemon into a backlog machine.
+day streamed second by second, plus a multi-day backlog fed at once.
+The per-boundary latency is what bounds how fast a live feed can be
+followed; a regression here turns a 1 Hz daemon into a backlog machine.
 """
 
 from __future__ import annotations
@@ -73,6 +73,35 @@ def test_perf_serve_per_boundary_latency(benchmark, serve_table, serve_day):
 
     result = benchmark(run)
     assert result > 0  # the day must actually reconfigure
+
+
+@pytest.fixture(scope="module")
+def serve_backlog():
+    """Eight days of World-Cup-shaped load at 1 Hz."""
+    trace = WorldCupSynthesizer(n_days=8, seed=321, peak_rate=3000).build()
+    return np.asarray(trace.values, dtype=np.float64)
+
+
+@pytest.mark.benchmark(group="perf-serve")
+def test_perf_serve_backlog(benchmark, serve_table, serve_backlog):
+    """A daemon starting or resuming on a backlog: 8 days in one feed().
+
+    ``TailFileSource.poll`` hands the whole backlog over as one chunk;
+    the decision walk jumps through the chunk's change points, so this
+    costs about what the same samples cost in 60-sample chunks rather
+    than a rescan of the rest of the chunk per decision.
+    """
+
+    def run():
+        engine = StreamingProvisioner(serve_table, window=WINDOW)
+        return engine.feed(serve_backlog)
+
+    decisions = benchmark.pedantic(run, rounds=3, iterations=1)
+    chunked = StreamingProvisioner(serve_table, window=WINDOW)
+    expected = []
+    for pos in range(0, len(serve_backlog), 60):
+        expected += chunked.feed(serve_backlog[pos : pos + 60])
+    assert decisions and decisions == expected
 
 
 @pytest.mark.benchmark(group="perf-serve")

@@ -115,10 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--engine",
-        choices=("segments", "reference", "twophase"),
+        choices=("twophase", "reference"),
         default=None,
-        help="replay the BML scenario on this event-driven engine variant "
-             "instead of the fast plan executor",
+        help="replay the BML scenario on the event-driven two-phase engine "
+             "or its per-second reference instead of the fast plan executor",
     )
     p_sim.add_argument(
         "--stats", action="store_true",
@@ -170,10 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--engine",
-        choices=("segments", "reference", "twophase"),
+        choices=("twophase", "reference"),
         default=None,
-        help="replay scheduling-policy scenarios on this event-driven "
-             "engine variant (baseline policies keep their engine)",
+        help="replay scheduling-policy scenarios on the event-driven "
+             "two-phase engine or its per-second reference (baseline "
+             "policies keep their engine)",
     )
     p_run.add_argument(
         "--stats", action="store_true",
@@ -323,10 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sw_run.add_argument(
         "--engine",
-        choices=("segments", "reference", "twophase"),
+        choices=("twophase", "reference"),
         default=None,
-        help="replay scheduling-policy grid points on this event-driven "
-             "engine variant (baseline policies keep their engine)",
+        help="replay scheduling-policy grid points on the event-driven "
+             "two-phase engine or its per-second reference (baseline "
+             "policies keep their engine)",
     )
     sw_run.add_argument(
         "--stats", action="store_true",

@@ -62,9 +62,10 @@ from .reconfiguration import (
     Reconfiguration,
     SchedulePlan,
     Segment,
+    Transition,
     build_plan,
     plan_reconfiguration,
-    reconfiguration_window,
+    transition,
 )
 from .scheduler import BMLScheduler, ScheduleOutcome
 
@@ -103,7 +104,8 @@ __all__ = [
     "Reconfiguration",
     "SchedulePlan",
     "plan_reconfiguration",
-    "reconfiguration_window",
+    "Transition",
+    "transition",
     "build_plan",
     "BMLScheduler",
     "ScheduleOutcome",

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from ..workload.trace import LoadTrace
 from .bml import BMLInfrastructure
 from .combination import Combination, CombinationTable
 from .prediction import LookAheadMaxPredictor, Predictor
-from .reconfiguration import SchedulePlan, build_plan, reconfiguration_window
+from .reconfiguration import SchedulePlan, _ceil_s, build_plan, transition
 from .scheduler import ScheduleOutcome, _decision_ids, _next_decision
 
 __all__ = ["TransitionAwareScheduler", "transition_cost"]
@@ -54,14 +54,14 @@ def transition_cost(current: Combination, target: Combination) -> float:
     """
     if current == target:
         return 0.0
-    delta = current.diff(target)
+    tr = transition(current, target)
     profs = {p.name: p for p in current.profiles + target.profiles}
-    boot_dur, _ = reconfiguration_window(current, target)
     cost = 0.0
-    for name, d in delta.items():
+    # names are unique across starts and stops: sorting restores diff order
+    for name, d in sorted(tr.starts + tuple((n, -c) for n, c in tr.stops)):
         p = profs[name]
         if d > 0:
-            waiting = boot_dur - int(math.ceil(p.on_time - 1e-9))
+            waiting = tr.boot_duration - _ceil_s(p.on_time)
             cost += d * (p.on_energy + waiting * p.idle_power)
         else:
             cost += -d * p.off_energy
@@ -143,13 +143,13 @@ class TransitionAwareScheduler:
                 t = td + self.recheck_interval
                 continue
             decisions.append((td, target))
-            boot, off = reconfiguration_window(current, target)
+            tr = transition(current, target)
             current = target
             # Ideal targets map to a table row, so the loop can jump to the
             # next change point; union targets are off-table and force a
             # re-evaluation at the next opportunity.
             cur_id = int(cid[td]) if target == ideal else None
-            t = td + max(boot + off, 1)
+            t = td + max(tr.boot_duration + tr.off_duration, 1)
         return ScheduleOutcome(
             plan=build_plan(horizon, initial, decisions),
             predictions=pred,

@@ -955,9 +955,9 @@ class CombinationTable:
 
         The one grid rounding every lookup uses (:meth:`_index` raises on
         the mask), but rates beyond the table clamp to the last row and
-        are flagged instead of raising — for callers (the segment replay's
-        decision scan) that must defer the error to the moment the
-        out-of-range rate is actually consulted.  A scalar rate gives
+        are flagged instead of raising — for callers (the replay's and
+        the streaming engine's decision walk) that must defer the error
+        to the moment the out-of-range rate is actually consulted.  A scalar rate gives
         NumPy scalars.
         """
         arr = np.asarray(rate, dtype=float)
@@ -991,7 +991,7 @@ class CombinationTable:
         ``clipped_index`` applies the same grid rounding as ``_index``,
         so for in-range rates ``combo_at(clipped_index(rate)[0])`` is
         exactly ``combination_for(rate)`` without re-deriving the index —
-        the segment replay's decision loop relies on this.
+        the decision walk relies on this.
         """
         return self._combos[idx]
 

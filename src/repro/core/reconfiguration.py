@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .combination import Combination
 from .profiles import ArchitectureProfile
@@ -36,8 +36,9 @@ __all__ = [
     "Segment",
     "Reconfiguration",
     "SchedulePlan",
+    "Transition",
+    "transition",
     "plan_reconfiguration",
-    "reconfiguration_window",
     "build_plan",
 ]
 
@@ -135,26 +136,49 @@ class SchedulePlan:
 
 
 def _ceil_s(x: float) -> int:
+    """Whole seconds a transition of ``x`` seconds occupies."""
     return int(math.ceil(x - 1e-9))
 
 
-def reconfiguration_window(
-    current: Combination, target: Combination
-) -> Tuple[int, int]:
-    """(boot, shutdown) durations in whole seconds for a combination change.
+class Transition(NamedTuple):
+    """The machine-level delta of one combination change.
 
-    The blocking window of the decision is their sum: boots run first
-    (make-before-break), shutdowns start at the hand-over.
+    ``starts``/``stops`` are ``(name, count)`` pairs in
+    :meth:`~repro.core.combination.Combination.diff` order.  The blocking
+    window of the decision is ``boot_duration + off_duration``: boots run
+    first (make-before-break), shutdowns start at the hand-over.  The
+    energies accumulate from int ``0`` in ``diff`` order, so a change
+    that starts nothing has ``on_energy == 0`` as an int (journal
+    payloads encode it that way).
     """
+
+    starts: Tuple[Tuple[str, int], ...]
+    stops: Tuple[Tuple[str, int], ...]
+    boot_duration: int
+    off_duration: int
+    on_energy: float
+    off_energy: float
+
+
+def transition(current: Combination, target: Combination) -> Transition:
+    """The :class:`Transition` moving ``current`` to ``target``."""
+    profs: Dict[str, ArchitectureProfile] = {
+        p.name: p for p in current.profiles + target.profiles
+    }
     delta = current.diff(target)
-    profs = {p.name: p for p in current.profiles + target.profiles}
-    boot = max(
-        (_ceil_s(profs[n].on_time) for n, d in delta.items() if d > 0), default=0
-    )
-    off = max(
-        (_ceil_s(profs[n].off_time) for n, d in delta.items() if d < 0), default=0
-    )
-    return boot, off
+    starts = tuple((n, d) for n, d in delta.items() if d > 0)
+    stops = tuple((n, -d) for n, d in delta.items() if d < 0)
+    boot_dur = off_dur = 0
+    on_energy = off_energy = 0
+    for name, cnt in starts:
+        p = profs[name]
+        boot_dur = max(boot_dur, _ceil_s(p.on_time))
+        on_energy = on_energy + cnt * p.on_energy
+    for name, cnt in stops:
+        p = profs[name]
+        off_dur = max(off_dur, _ceil_s(p.off_time))
+        off_energy = off_energy + cnt * p.off_energy
+    return Transition(starts, stops, boot_dur, off_dur, on_energy, off_energy)
 
 
 def plan_reconfiguration(
@@ -171,27 +195,22 @@ def plan_reconfiguration(
     integrated energy stays consistent with what physically happened before
     the horizon.
     """
-    delta = current.diff(target)
+    tr = transition(current, target)
+    if not tr.starts and not tr.stops:
+        raise ValueError("reconfiguration with no machine changes")
     profs: Dict[str, ArchitectureProfile] = {
         p.name: p for p in current.profiles + target.profiles
     }
-    starts = {n: d for n, d in delta.items() if d > 0}
-    stops = {n: -d for n, d in delta.items() if d < 0}
-    if not starts and not stops:
-        raise ValueError("reconfiguration with no machine changes")
-
-    boot_dur = max((_ceil_s(profs[n].on_time) for n in starts), default=0)
-    off_dur = max((_ceil_s(profs[n].off_time) for n in stops), default=0)
-    handover = decided_at + boot_dur
-    completes = handover + off_dur
+    handover = decided_at + tr.boot_duration
+    completes = handover + tr.off_duration
 
     # Overhead power is piecewise constant; collect the change points.
     # Booting arch a: boot power for Ont_a, then idle until hand-over.
     # Stopping arch a: shutdown power for Offt_a after hand-over, then 0.
     boundaries = {decided_at, handover, completes}
-    for n in starts:
+    for n, _ in tr.starts:
         boundaries.add(decided_at + _ceil_s(profs[n].on_time))
-    for n in stops:
+    for n, _ in tr.stops:
         boundaries.add(handover + _ceil_s(profs[n].off_time))
     cuts = sorted(b for b in boundaries if decided_at <= b <= completes)
 
@@ -201,7 +220,7 @@ def plan_reconfiguration(
             break
         b_clip = min(b, horizon)
         overhead = 0.0
-        for n, cnt in starts.items():
+        for n, cnt in tr.starts:
             p = profs[n]
             boot_end = decided_at + _ceil_s(p.on_time)
             if a < boot_end:
@@ -210,7 +229,7 @@ def plan_reconfiguration(
                 overhead += cnt * (p.on_energy / max(_ceil_s(p.on_time), 1))
             elif a < handover:
                 overhead += cnt * p.idle_power  # booted, waiting for hand-over
-        for n, cnt in stops.items():
+        for n, cnt in tr.stops:
             p = profs[n]
             off_end = handover + _ceil_s(p.off_time)
             if handover <= a < off_end:
@@ -225,10 +244,10 @@ def plan_reconfiguration(
         completes_at=completes,
         before=current,
         after=target,
-        boot_duration=boot_dur,
-        off_duration=off_dur,
-        on_energy=sum(cnt * profs[n].on_energy for n, cnt in starts.items()),
-        off_energy=sum(cnt * profs[n].off_energy for n, cnt in stops.items()),
+        boot_duration=tr.boot_duration,
+        off_duration=tr.off_duration,
+        on_energy=tr.on_energy,
+        off_energy=tr.off_energy,
     )
     return segments, event
 

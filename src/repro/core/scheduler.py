@@ -11,14 +11,16 @@ step forward.
 
 Implementation note: the decision loop never walks the trace second by
 second.  Per-second combination ids are gathered from ids encoded once on
-the table's rows (:func:`_decision_ids`), the loop jumps from one decision
-to the next change point, and each distinct ``(from, to)`` transition's
-blocking window — like its reconfiguration plan in
-:func:`~repro.core.reconfiguration.build_plan` — is derived once.
+the table's rows (:func:`_decision_ids`), and :class:`DecisionWalk` jumps
+from one decision to the next change point, deriving each distinct
+``(from, to)`` transition once — like its reconfiguration plan in
+:func:`~repro.core.reconfiguration.build_plan`.  The event-driven replay
+and the streaming engine run the same walk.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -28,9 +30,9 @@ from ..workload.trace import LoadTrace
 from .bml import BMLInfrastructure
 from .combination import Combination, CombinationTable
 from .prediction import LookAheadMaxPredictor, Predictor
-from .reconfiguration import SchedulePlan, build_plan, reconfiguration_window
+from .reconfiguration import SchedulePlan, Transition, build_plan, transition
 
-__all__ = ["BMLScheduler", "ScheduleOutcome"]
+__all__ = ["BMLScheduler", "ScheduleOutcome", "DecisionWalk"]
 
 
 @dataclass(frozen=True)
@@ -118,36 +120,19 @@ class BMLScheduler:
         # Combination identifier per time step: two predicted rates that
         # map to the same machine multiset must not trigger a decision.
         cid, changes, idx = _decision_ids(table, pred)
-
-        initial = table.combo_at(idx[0]) if self.initial is None else self.initial
-        current = initial
-        cur_id = int(cid[0]) if self.initial is None else None
-
-        # Blocking window per (from id, to id): ids fix both combinations.
-        spans: Dict[Tuple[Optional[int], int], int] = {}
-        decisions: List[Tuple[int, Combination]] = []
-        t = 0
-        while t < horizon:
-            td = _next_decision(cid, changes, t, cur_id)
-            if td is None:
-                break
-            new_id = int(cid[td])
-            target = table.combo_at(idx[td])
-            if target == current:
-                # only an explicit initial combination (no id) can match
-                cur_id = new_id
-                t = td + 1
-                continue
-            decisions.append((td, target))
-            span = spans.get((cur_id, new_id))
-            if span is None:
-                boot, off = reconfiguration_window(current, target)
-                span = spans[cur_id, new_id] = max(boot + off, 1)
-            current = target
-            cur_id = new_id
-            # No decision before the reconfiguration completes; the next
-            # prediction window starts from the completion time.
-            t = td + span
+        if self.initial is None:
+            initial = table.combo_at(idx[0])
+            walk = DecisionWalk(table, initial, int(cid[0]), int(idx[0]))
+        else:
+            # no id for an explicit combination: check t=0 itself
+            initial = self.initial
+            walk = DecisionWalk(table, initial, None, d_from=0)
+        # Each decision takes its own second's row (equal to the memoised
+        # target's), so plans hold the same combination objects as ever.
+        decisions = [
+            (td, table.combo_at(idx[td]))
+            for td, _, _ in walk.advance(0, cid, idx, pred, changes)
+        ]
         return ScheduleOutcome(
             plan=build_plan(horizon, initial, decisions),
             predictions=pred,
@@ -229,3 +214,108 @@ def _next_decision(
             return c
         pos += 1
     return None
+
+
+class DecisionWalk:
+    """The BML decision rule (Sec. V-C) as one resumable walk over ids.
+
+    From the current combination, the next decision is the first second
+    at or after ``d_from`` whose combination id differs from ``cur_id``:
+    it switches to that second's table row and takes no decision until
+    the transition's boots and shutdowns are over (at least one second).
+    ``cur_id = None`` (an explicit initial combination, which has no id)
+    checks ``d_from`` itself, and a match there is no decision.
+
+    The state is the current combination with its row id and grid index,
+    ``d_from``, and a memo of ``(target grid index, transition)`` per
+    ``(from_id, to_id)``: ids fix both combinations, so each distinct
+    transition is derived once.  :meth:`advance` takes the ids of any run
+    of consecutive seconds, so the planner and the replay feed it the
+    whole trace once and the streaming engine chunk by chunk, with the
+    same decisions.
+    """
+
+    __slots__ = ("table", "current", "cur_id", "cur_idx", "d_from", "memo")
+
+    def __init__(
+        self,
+        table: CombinationTable,
+        current: Combination,
+        cur_id: Optional[int],
+        cur_idx: Optional[int] = None,
+        d_from: int = 1,
+    ) -> None:
+        self.table = table
+        self.current = current
+        self.cur_id = cur_id
+        self.cur_idx = cur_idx
+        self.d_from = d_from
+        self.memo: Dict[Tuple[Optional[int], int], Tuple[int, Transition]] = {}
+
+    def advance(
+        self,
+        base: int,
+        cid: np.ndarray,
+        grid_idx: np.ndarray,
+        pred: np.ndarray,
+        changes: Optional[np.ndarray] = None,
+    ) -> List[Tuple[int, int, Transition]]:
+        """Decisions within seconds ``[base, base + len(cid))``.
+
+        ``cid``, ``grid_idx`` and ``pred`` hold the run's per-second ids,
+        table grid indices and predictions; ``changes`` its change points
+        (relative to ``base``; derived when omitted).  An id of ``-1``
+        (a rate beyond the table, see :func:`_decision_ids`) raises the
+        table's :class:`CombinationError` only if a decision lands on it.
+        Returns ``(second, target grid index, transition)`` triples; the
+        walk resumes after the run on the next call.  A raise leaves the
+        walk where it was before the call.
+        """
+        n = len(cid)
+        memo = self.memo
+        table = self.table
+        cur_id, cur_idx, current = self.cur_id, self.cur_idx, self.current
+        d_from = self.d_from
+        chg: Optional[List[int]] = None  # change points, as Python ints
+        pos = 0
+        out: List[Tuple[int, int, Transition]] = []
+        while True:
+            s = d_from - base if d_from > base else 0
+            if s >= n:
+                break
+            new_id = int(cid[s])
+            if new_id == cur_id:
+                # Jump to the next change point: every second before it
+                # still carries the current id.
+                if chg is None:
+                    if changes is None:
+                        changes = (cid[1:] != cid[:-1]).nonzero()[0] + 1
+                    chg = changes.tolist()
+                pos = bisect_right(chg, s, pos)
+                if pos == len(chg):
+                    d_from = base + n
+                    break
+                s = chg[pos]
+                new_id = int(cid[s])
+            td = base + s
+            if new_id == -1:
+                table.combination_for(float(pred[s]))  # raises
+            step = memo.get((cur_id, new_id))
+            if step is None:
+                target = int(grid_idx[s])
+                step = memo[cur_id, new_id] = (
+                    target, transition(current, table.combo_at(target))
+                )
+            target, tr = step
+            current = table.combo_at(target)
+            cur_id = new_id
+            cur_idx = target
+            if not tr.starts and not tr.stops:
+                # only an explicit initial combination (no id) can match
+                d_from = td + 1
+                continue
+            out.append((td, target, tr))
+            d_from = td + max(tr.boot_duration + tr.off_duration, 1)
+        self.cur_id, self.cur_idx, self.current = cur_id, cur_idx, current
+        self.d_from = d_from
+        return out

@@ -324,7 +324,7 @@ register(ScenarioSpec(
 register(ScenarioSpec(
     name="event-engine-day",
     description="One day replayed through the event-driven machine-level "
-                "simulator (segment-compressed engine) instead of the "
+                "simulator (two-phase engine) instead of the "
                 "vectorised plan executor.",
     workload=WorkloadSpec(days=1, seed=13, peak_rate=2500.0),
     scheduler=SchedulerSpec(policy="bml"),

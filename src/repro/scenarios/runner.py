@@ -380,7 +380,6 @@ SuiteOutcome = Union[ScenarioRun, "ScenarioResult", FailedRun]  # noqa: F821
 _REPLAY_ENGINES = {
     "event": "twophase",
     "event-twophase": "twophase",
-    "event-segments": "segments",
     "event-reference": "reference",
 }
 

@@ -80,7 +80,6 @@ ENGINES = (
     "fast",
     "event",
     "event-twophase",
-    "event-segments",
     "event-reference",
 )
 PROFILE_SOURCES = ("table1", "illustrative")
@@ -404,11 +403,12 @@ class ScenarioSpec:
     (``cap = idle + powercap * (max - idle)``, see
     :mod:`repro.sim.powercap`).  ``engine`` selects the replay
     implementation: the vectorised plan executor (``"fast"``), the
-    event-driven simulator (``"event"``, currently the two-phase
-    control/evaluate engine), or one of its explicit variants — the
-    batched two-phase engine (``"event-twophase"``), the per-segment
-    engine (``"event-segments"``) or the per-second reference loop
-    (``"event-reference"``).
+    event-driven simulator (``"event"``, the two-phase control/evaluate
+    engine), or one of its explicit variants — the two-phase engine
+    (``"event-twophase"``) or the per-second reference loop
+    (``"event-reference"``).  Specs naming the ``"event-segments"``
+    engine, deleted with the segment-compressed replay, are rejected;
+    stored records keep such specs as plain dicts and still load.
     """
 
     name: str

@@ -2,9 +2,9 @@
 
 :class:`StreamingProvisioner` consumes raw rate samples in arbitrary
 chunkings and emits the *exact* decision stream the batch two-phase
-replay (:meth:`repro.sim.loop.EventDrivenReplay._reconfig_schedule`)
+replay (:meth:`repro.sim.loop.EventDrivenReplay._control_pass`)
 derives from the whole trace at once.  Bit-identity holds because every
-step of the pipeline is arithmetic-free or replayed verbatim:
+step of the pipeline is arithmetic-free or shared code:
 
 * the look-ahead-max predictor is a sliding **maximum** — pure
   comparisons, so computing it over ``tail + chunk`` sub-buffers picks
@@ -13,14 +13,16 @@ step of the pipeline is arithmetic-free or replayed verbatim:
   encoding the batch engine uses;
 * the decision walk (first differing id at/after ``d_from``, blocking
   window ``td + boot + off``, out-of-table raise at the decision second)
-  is the same state machine with the same memoised per-``(from, to)``
-  delta math, carried across chunk boundaries in O(1) state.
+  is the batch engine's own :class:`~repro.core.scheduler.DecisionWalk`,
+  fed chunk by chunk: its O(1) state carries across chunk boundaries,
+  and it jumps through each chunk's change points, so a backlog fed as
+  one chunk costs what the same samples cost in small chunks.
 
 Memory is **bounded**: the engine keeps the last ``window - 1`` raw
 samples (the only part of the past a future window can still see), a few
-counters, and the delta memo (bounded by distinct transition pairs in
-the table) — nothing scales with feed length, which the property test
-asserts.
+counters, and the walk's transition memo (bounded by distinct transition
+pairs in the table) — nothing scales with feed length, which the
+property test asserts.
 
 End-of-feed matters: the batch predictor's final ``window - 1`` entries
 are *truncated* maxima (the window clips at the series end), so those
@@ -35,15 +37,13 @@ decision stream mid-feed with no drift.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.combination import Combination, CombinationTable
-from ..core.scheduler import _row_ids
-from ..sim.machine import _ceil_s
+from ..core.scheduler import DecisionWalk, _row_ids
 from ..workload.sliding import lookahead_max
 from .journal import decode_record, encode_record
 
@@ -139,18 +139,16 @@ class StreamingProvisioner:
         self.window = int(window)
         self.clamp = None if clamp is None else float(clamp)
         self._table_ids = _row_ids(table.counts_array)
-        self._profiles = {p.name: p for p in table.profiles}
         # -- checkpointed state --------------------------------------------
         self._tail = np.empty(0, dtype=np.float64)  # last window-1 samples
         self._samples_in = 0  # raw samples consumed
         self._preds_out = 0  # completed predictions emitted
         self._decisions_out = 0
-        self._cur_grid_idx: Optional[int] = None  # current combo's table row
-        self._cur_id: Optional[int] = None  # its mixed-radix id
-        self._d_from = 1  # next decision second to examine
+        #: the decision walk (current combination's table row and id,
+        #: next decision second); ``None`` before the first prediction.
+        #: Its transition memo is a pure cache, rebuilt after a restore.
+        self._walk: Optional[DecisionWalk] = None
         self._finalized = False
-        # -- pure cache (rebuilt on restore, bounded by transition pairs) --
-        self._delta_memo: Dict[Tuple[int, int], tuple] = {}
 
     # -- views ---------------------------------------------------------------
     @property
@@ -168,9 +166,7 @@ class StreamingProvisioner:
     @property
     def current(self) -> Optional[Combination]:
         """The combination currently serving (None before any prediction)."""
-        if self._cur_grid_idx is None:
-            return None
-        return self.table.combo_at(self._cur_grid_idx)
+        return None if self._walk is None else self._walk.current
 
     def state_nbytes(self) -> int:
         """Rough size of the checkpointed state — the bounded-memory
@@ -183,7 +179,10 @@ class StreamingProvisioner:
 
         Only *full* prediction windows complete here: the last
         ``window - 1`` samples stay pending until more data (or
-        :meth:`finalize`) arrives.
+        :meth:`finalize`) arrives.  Like a batch
+        :class:`~repro.workload.trace.LoadTrace`, rates must be finite
+        and non-negative: a chunk holding any other sample raises
+        :class:`ValueError` before the engine state changes.
         """
         if self._finalized:
             raise EngineStateError("feed() after finalize()")
@@ -192,6 +191,12 @@ class StreamingProvisioner:
             raise ValueError("samples must be one-dimensional")
         if chunk.size == 0:
             return []
+        if not (chunk.min() >= 0 and chunk.max() < np.inf):  # NaN fails
+            i = int(np.argmax(~(np.isfinite(chunk) & (chunk >= 0))))
+            raise ValueError(
+                f"sample {self._samples_in + i} is {chunk[i]!r}: rates "
+                "must be finite and >= 0"
+            )
         buf = np.concatenate([self._tail, chunk])
         new_total = self._samples_in + chunk.size
         # Predictions completed by this chunk: windows [t, t+W) fully
@@ -231,101 +236,53 @@ class StreamingProvisioner:
 
     # -- the decision walk ----------------------------------------------------
     def _advance(self, preds: np.ndarray) -> List[Decision]:
-        """Run the batch decision rule over newly-completed predictions.
+        """Run the decision walk over newly-completed predictions.
 
         ``preds[j]`` is the prediction for absolute second
-        ``self._preds_out + j``; the walk state (current id, ``d_from``)
-        carries across calls, reproducing ``_reconfig_schedule``'s
-        single-pass scan chunk by chunk.
+        ``self._preds_out + j``; the walk state carries across calls.
         """
         if self.clamp is not None:
             preds = np.minimum(preds, self.clamp)
         base = self._preds_out
         idx, oob = self.table.clipped_index(preds)
         cid = self._table_ids[idx]
-        cid = cid.copy() if oob.any() else cid
         cid[oob] = -1
-        m = len(preds)
-        out: List[Decision] = []
-        if self._cur_id is None:
+        if self._walk is None:
             # pred[0]: the initial combination, like the batch engine's
             # table.combination_for(pred[0]) — raises beyond the table.
             if base != 0:
                 raise EngineStateError("walk state lost before first sample")
             if bool(oob[0]):
                 self.table.combination_for(float(preds[0]))
-            self._cur_grid_idx = int(idx[0])
-            self._cur_id = int(cid[0])
-            self._d_from = 1
-        while True:
-            s = max(self._d_from, base)
-            if s >= base + m:
-                break
-            rel = s - base
-            mism = np.flatnonzero(cid[rel:] != self._cur_id)
-            if mism.size == 0:
-                # every examined second matched: resume after this chunk
-                self._d_from = max(self._d_from, base + m)
-                break
-            td = s + int(mism[0])
-            tr = td - base
-            if int(cid[tr]) == -1:
-                # Raises for rates beyond the table, like the walk would
-                # at this decision second.
-                self.table.combination_for(float(preds[tr]))
-            out.append(self._decide(td, int(cid[tr]), int(idx[tr])))
+            self._walk = DecisionWalk(
+                self.table, self.table.combo_at(int(idx[0])), int(cid[0]),
+                int(idx[0]),
+            )
+        before = self._walk.current
+        out: List[Decision] = []
+        for td, target, tr in self._walk.advance(base, cid, idx, preds):
+            after = self.table.combo_at(target)
+            out.append(
+                Decision(
+                    decided_at=td,
+                    completes_at=td + tr.boot_duration + tr.off_duration,
+                    before=_combo_items(before),
+                    after=_combo_items(after),
+                    boot_duration=tr.boot_duration,
+                    off_duration=tr.off_duration,
+                    on_energy=tr.on_energy,
+                    off_energy=tr.off_energy,
+                )
+            )
+            before = after
+        self._decisions_out += len(out)
         return out
-
-    def _decide(self, td: int, new_id: int, grid_idx: int) -> Decision:
-        """Fix one reconfiguration at second ``td`` and advance the walk."""
-        cur = self.table.combo_at(self._cur_grid_idx)
-        info = self._delta_memo.get((self._cur_id, new_id))
-        if info is None:
-            target = self.table.combo_at(grid_idx)
-            delta = cur.diff(target)
-            starts = tuple((n, d) for n, d in delta.items() if d > 0)
-            stops = tuple((n, -d) for n, d in delta.items() if d < 0)
-            boot_dur = 0
-            on_energy = 0
-            for name, cnt in starts:
-                p = self._profiles[name]
-                dur = _ceil_s(p.on_time)
-                if dur > boot_dur:
-                    boot_dur = dur
-                on_energy = on_energy + cnt * p.on_energy
-            off_dur = 0
-            off_energy = 0
-            for name, cnt in stops:
-                p = self._profiles[name]
-                dur = int(math.ceil(p.off_time - 1e-9))
-                if dur > off_dur:
-                    off_dur = dur
-                off_energy = off_energy + cnt * p.off_energy
-            info = (grid_idx, boot_dur, off_dur, on_energy, off_energy)
-            self._delta_memo[(self._cur_id, new_id)] = info
-        tgt_idx, boot_dur, off_dur, on_e, off_e = info
-        target = self.table.combo_at(tgt_idx)
-        until = td + boot_dur + off_dur
-        decision = Decision(
-            decided_at=td,
-            completes_at=until,
-            before=_combo_items(cur),
-            after=_combo_items(target),
-            boot_duration=boot_dur,
-            off_duration=off_dur,
-            on_energy=on_e,
-            off_energy=off_e,
-        )
-        self._cur_grid_idx = tgt_idx
-        self._cur_id = new_id
-        self._decisions_out += 1
-        self._d_from = until if until > td else td + 1
-        return decision
 
     # -- checkpointing --------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
         """JSON-safe snapshot of the whole walk (floats via ``repr``
         round-trip bit-exactly through the store's JSON checkpoint)."""
+        walk = self._walk
         return {
             "version": self.STATE_VERSION,
             "window": self.window,
@@ -335,9 +292,9 @@ class StreamingProvisioner:
             "preds_out": self._preds_out,
             "decisions_out": self._decisions_out,
             "tail": [float(v) for v in self._tail],
-            "cur_grid_idx": self._cur_grid_idx,
-            "cur_id": self._cur_id,
-            "d_from": self._d_from,
+            "cur_grid_idx": None if walk is None else walk.cur_idx,
+            "cur_id": None if walk is None else walk.cur_id,
+            "d_from": 1 if walk is None else walk.d_from,
             "finalized": self._finalized,
         }
 
@@ -367,9 +324,11 @@ class StreamingProvisioner:
         self._decisions_out = int(state["decisions_out"])
         self._tail = np.asarray(state["tail"], dtype=np.float64)
         cur_idx = state["cur_grid_idx"]
-        self._cur_grid_idx = None if cur_idx is None else int(cur_idx)
-        cur_id = state["cur_id"]
-        self._cur_id = None if cur_id is None else int(cur_id)
-        self._d_from = int(state["d_from"])
+        self._walk = None if state["cur_id"] is None else DecisionWalk(
+            self.table,
+            self.table.combo_at(int(cur_idx)),
+            int(state["cur_id"]),
+            int(cur_idx),
+            int(state["d_from"]),
+        )
         self._finalized = bool(state["finalized"])
-        self._delta_memo = {}

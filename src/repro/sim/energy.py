@@ -92,12 +92,6 @@ class TelemetryLRU:
 
 _cache = TelemetryLRU()
 
-#: Deferred-ledger buffer bound: a machine's pending contribution stream
-#: is settled early once it holds this many pieces, so month-scale
-#: replays don't pin every segment's draw arrays until ``finalize``
-#: (partial flushes continue the same sequential chain — bit-identical).
-_PENDING_FLUSH_PIECES = 1024
-
 
 def breakpoint_cache_stats() -> Dict[str, int]:
     """Hit/miss/size telemetry of the breakpoint-table LRU."""
@@ -147,28 +141,22 @@ class EnergyMeter:
     of every machine is recorded as (power, duration) and integrated
     exactly.
 
-    Three batch APIs serve the segment-compressed replays:
-
-    * :meth:`record_series` — eager: one ``np.cumsum`` settle per call
-      (PR 2's kernel, kept as the executable contract pinned by
-      ``tests/properties/test_prop_replay.py``);
-    * :meth:`record_gather` — deferred: per-segment windows are buffered
-      as ``(values, inverse)`` gather pairs and settled in **one**
-      ``np.cumsum`` pass per machine when something needs the totals
-      (a ``set_power`` interleave, :meth:`finalize`, or an energy query),
-      eliminating the per-machine-per-segment cumsum/concatenate cost.
-      The buffered chain replays the exact ``record_series`` call
-      sequence float-for-float, so totals stay bit-identical.
-    * :meth:`begin_batch` / :meth:`batch_mark` /
-      :meth:`record_batch_windows` — the two-phase replay's journal:
-      between ``begin_batch`` and ``record_batch_windows`` every
-      ``set_power`` call is *journaled* instead of settled, interleaved
-      with window markers (:meth:`batch_mark`), so the control pass
-      touches no ledger math at all.  ``record_batch_windows`` walks the
-      journal in chronological order — transitions as ``set_power``
-      would settle them, markers resolved to run-coalesced gathers of
-      the same per-second powers :meth:`record_gather` would buffer —
-      so batching stays bit-identical to recording live.
+    The reference replay calls :meth:`set_power` once per machine per
+    second.  The two-phase replay batches instead, through
+    :meth:`begin_batch` / :meth:`batch_mark` /
+    :meth:`record_batch_windows`: between ``begin_batch`` and
+    ``record_batch_windows`` every ``set_power`` call is *journaled*
+    instead of settled, interleaved with window markers
+    (:meth:`batch_mark`), so the control pass touches no ledger math at
+    all.  ``record_batch_windows`` walks the journal in chronological
+    order — transitions as ``set_power`` would settle them, markers
+    resolved to run-coalesced ``(values, inverse)`` gathers of the
+    per-second powers — into per-machine *pending* streams, settled in
+    **one** ``np.cumsum`` pass per machine when something needs the
+    totals (:meth:`finalize` or an energy query).  A ``set_power`` on a
+    machine with a pending stream appends its closing term to the
+    stream.  The cumsum's left-to-right order replays the per-second
+    ``set_power`` chain float-for-float, so totals stay bit-identical.
     """
 
     _totals: Dict[str, float] = field(default_factory=dict)
@@ -201,7 +189,6 @@ class EnergyMeter:
     def record_batch_windows(self, resolve) -> None:
         """Close the journal and settle it with run-coalesced gathers.
 
-        Instead of one :meth:`record_gather` call per (marker, machine),
         ``resolve(token)`` returns the marker's evaluated gather bundle
         ``(machine_ids, draws, inverse, offset, length, t_start)`` —
         per-machine series ``draws[i][offset:offset+length]``, or
@@ -416,100 +403,6 @@ class EnergyMeter:
             pieces.append(self._power_now[machine_id] * (now - since))
         self._power_now[machine_id] = power
         self._since[machine_id] = now
-
-    def record_series(
-        self, machine_id: str, powers: np.ndarray, t_start: int
-    ) -> None:
-        """Batch ledger write: one power level per second from ``t_start``.
-
-        Equivalent to ``set_power(machine_id, powers[k], t_start + k)`` for
-        every ``k`` — the per-second call pattern of the event-driven
-        simulator's load balancer — but with the million-call Python loop
-        replaced by one vectorised append per (machine, segment).  The
-        closed one-second intervals are accumulated with
-        :func:`numpy.cumsum`, whose left-to-right sequential order matches
-        the scalar ``_settle`` chain exactly, so the resulting totals are
-        bit-identical to the per-call ledger.
-        """
-        powers = np.asarray(powers, dtype=float)
-        n = len(powers)
-        if n == 0:
-            return
-        if np.any(powers < 0):
-            raise ValueError("power must be >= 0")
-        self._settle(machine_id, t_start)
-        if n > 1:
-            # Seconds t_start..t_start+n-2 are closed by the next write;
-            # each contributes powers[k] * 1.0 in time order.
-            base = self._totals.get(machine_id, 0.0)
-            self._totals[machine_id] = float(
-                np.cumsum(np.concatenate(([base], powers[:-1])))[-1]
-            )
-        self._power_now[machine_id] = float(powers[-1])
-        self._since[machine_id] = t_start + n - 1
-
-    # -- deferred array ledger (serving-set kernel path) -------------------
-    def record_gather(
-        self,
-        machine_id: str,
-        values: np.ndarray,
-        inverse: Optional[np.ndarray],
-        t_start: int,
-    ) -> None:
-        """Deferred :meth:`record_series`: buffer now, settle lazily.
-
-        The per-second power series of the window is ``values[inverse]``
-        (``inverse`` of ``None`` means ``values`` *is* the series) — the
-        gather representation the serving-set kernel produces, buffered
-        by reference so no per-second array is materialised per segment.
-        The window's first ``n - 1`` seconds are closed contributions
-        appended to the machine's pending stream; the last second stays
-        the open interval, closed by the next write exactly as in the
-        eager chain.  Interleaved :meth:`set_power` calls append their
-        ``power * duration`` term to the same stream, so nothing settles
-        until :meth:`finalize` (or an energy query) runs the machine's
-        whole stream through **one** ``np.cumsum`` — whose left-to-right
-        order replays the eager per-segment sequence float-for-float.
-
-        Trusted-contract API for the segment engine: ``values`` must be
-        non-negative (kernel draws are ``idle + slope * load`` with
-        non-negative factors by construction).
-        """
-        n = len(values) if inverse is None else len(inverse)
-        if n == 0:
-            return
-        pieces = self._pending.get(machine_id)
-        prev_power = self._power_now.get(machine_id)
-        if prev_power is not None:
-            since = self._since[machine_id]
-            if t_start < since - 1e-9:
-                raise ValueError(f"time went backwards for {machine_id}")
-            closing = prev_power * (t_start - since)
-            if pieces is None:
-                # First deferred write: fold the closing term eagerly
-                # (same multiply-add record_series would do) and open the
-                # stream.
-                self._totals[machine_id] = (
-                    self._totals.get(machine_id, 0.0) + closing
-                )
-            else:
-                pieces.append(closing)
-        if pieces is None:
-            pieces = self._pending[machine_id] = []
-        if n > 1:
-            pieces.append((values, inverse, n - 1))
-        self._power_now[machine_id] = float(
-            values[-1] if inverse is None else values[inverse[-1]]
-        )
-        self._since[machine_id] = t_start + n - 1
-        # Bound the buffer: month-scale replays would otherwise pin every
-        # segment's draw arrays until finalize.  A partial flush continues
-        # the same sequential chain from the settled total, so totals stay
-        # bit-identical to one flush at the end.  All machines settle
-        # together so the stacked cumsum amortises the pass (other
-        # machines' streams flush early, which is equally bit-identical).
-        if len(pieces) >= _PENDING_FLUSH_PIECES:
-            self._flush_all()
 
     @staticmethod
     def _stream_length(pieces: List) -> int:

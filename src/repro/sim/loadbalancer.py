@@ -28,7 +28,6 @@ from .machine import Machine
 __all__ = [
     "LoadBalancer",
     "Assignment",
-    "WindowAssignment",
     "ServingSetKernel",
     "KernelWindow",
     "serving_set_kernel",
@@ -123,166 +122,45 @@ class LoadBalancer:
             m.assign_load(assignment.shares[m.machine_id], now)
         return assignment
 
-    # -- windowed balancing (segment-compressed replay) --------------------
-    def balance_series(
-        self, rates: np.ndarray, machines: Sequence[Machine]
-    ) -> "WindowAssignment":
-        """Vectorised :meth:`balance` over a window of per-second rates.
-
-        The machine set must be constant across the window (the replay's
-        steady segments guarantee this).  Every float operation mirrors the
-        scalar loop — same fill order (stable sort by slope), same running
-        ``remaining`` subtraction chain, same ``1e-12`` early-exit mask —
-        so each window column is bit-identical to one :meth:`balance` call.
-        """
-        rates = np.asarray(rates, dtype=float)
-        if np.any(rates < 0):
-            raise ValueError("rate must be >= 0")
-        capacity = sum(m.profile.max_perf for m in machines)
-        served = np.minimum(rates, capacity)
-        n = len(rates)
-        loads: Dict[str, np.ndarray] = {}
-        if machines:
-            if self.strategy == "efficient":
-                remaining = served.copy()
-                # The scalar loop runs only when served > 0 and breaks once
-                # remaining <= 1e-12; ``active`` tracks both conditions.
-                active = served > 0
-                for m in sorted(machines, key=lambda m: m.profile.slope):
-                    take = np.where(
-                        active,
-                        np.minimum(remaining, m.profile.max_perf),
-                        0.0,
-                    )
-                    loads[m.machine_id] = take
-                    remaining = remaining - take
-                    active = active & (remaining > 1e-12)
-            elif capacity > 0:  # proportional (served > 0 implies capacity > 0)
-                frac = served / capacity
-                for m in machines:
-                    loads[m.machine_id] = frac * m.profile.max_perf
-        # Degenerate sets (no machines / zero capacity) serve nothing.
-        for m in machines:
-            if m.machine_id not in loads:
-                loads[m.machine_id] = np.zeros(n)
-        return WindowAssignment(
-            loads=loads,
-            served=served,
-            unserved=np.maximum(rates - served, 0.0),
-        )
-
-    def apply_series(
-        self, rates: np.ndarray, machines: Sequence[Machine], t_start: int
-    ) -> "WindowAssignment":
-        """Balance a window and push per-second loads onto the machines.
-
-        Batch counterpart of calling :meth:`apply` once per second: each
-        machine receives its whole load series in one
-        :meth:`~repro.sim.machine.Machine.assign_load_series` call (one
-        meter write per machine per window) and is left holding the
-        window's final load.  The returned assignment carries each
-        machine's per-second power draw series.
-        """
-        assignment = self.balance_series(rates, machines)
-        draws = {
-            m.machine_id: m.assign_load_series(
-                assignment.loads[m.machine_id], t_start
-            )
-            for m in machines
-        }
-        return WindowAssignment(
-            loads=assignment.loads,
-            served=assignment.served,
-            unserved=assignment.unserved,
-            draws=draws,
-        )
-
-
-@dataclass(frozen=True)
-class WindowAssignment:
-    """Outcome of balancing a whole window of per-second rates.
-
-    ``draws`` is filled by :meth:`LoadBalancer.apply_series` only (the
-    per-machine power series implied by the assigned loads).
-    """
-
-    loads: Dict[str, np.ndarray]  # machine_id -> per-second rate series
-    served: np.ndarray
-    unserved: np.ndarray
-    draws: Optional[Dict[str, np.ndarray]] = None  # machine_id -> power series
-
 
 # ---------------------------------------------------------------------------
-# Serving-set composite kernels (O(1)-per-segment replay)
+# Serving-set composite kernels (one evaluation per serving set)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class KernelWindow:
-    """One steady segment evaluated on a serving-set kernel.
+    """Rate windows evaluated on a serving-set kernel.
 
     Everything is stored on the window's **unique** rates plus the
     gather index back to per-second order: ``X_unique[inverse]`` is the
     per-second series for any of the unique-indexed arrays (``inverse``
     of ``None`` means the window did not compress — the unique arrays
-    *are* per-second).  Per-machine per-second series are *not*
-    materialised up front — the replay's hot loop only needs the
-    unique-indexed arrays plus ``inverse`` (the deferred energy ledger
-    buffers the same gather pairs) — they are built lazily by
-    :meth:`draw_series`/:meth:`load_series` when a consumer (QoS
-    attribution, per-machine diff series) asks.
+    *are* per-second).  Per-machine per-second series are never
+    materialised: the replay scatters the unique-indexed arrays through
+    ``inverse``, and the energy ledger settles the same gather pairs.
     """
 
     kernel: "ServingSetKernel"
     inverse: Optional[np.ndarray]  #: per-second gather index, or None
     loads: Tuple[np.ndarray, ...]  #: per machine, unique-indexed
     draws: Tuple[np.ndarray, ...]  #: per machine, unique-indexed
-    served: np.ndarray  #: unique-indexed
     unserved: np.ndarray  #: unique-indexed
-
-    @property
-    def n_unique(self) -> int:
-        return len(self.served)
 
     def gather(self, values: np.ndarray) -> np.ndarray:
         """Scatter a unique-indexed array back to per-second order.
 
-        Internal zero-copy accessor: when the window did not compress,
-        the *backing buffer itself* comes back — the replay's hot loop
-        only reads it.  The public ``*_series`` accessors below return
-        independent arrays instead, because the deferred energy ledger
-        may still hold references to these buffers until it settles.
+        Zero-copy when the window did not compress: the *backing buffer
+        itself* comes back, which callers only read.
         """
         return values if self.inverse is None else values[self.inverse]
-
-    def _materialise(self, values: np.ndarray) -> np.ndarray:
-        return values.copy() if self.inverse is None else values[self.inverse]
-
-    def unserved_series(self) -> np.ndarray:
-        """Per-second unserved mass of the window (caller-owned array)."""
-        return self._materialise(self.unserved)
-
-    def draw_series(self, machine_id: str) -> np.ndarray:
-        """One machine's per-second power draw series (caller-owned)."""
-        return self._materialise(self.draws[self.kernel.index_of(machine_id)])
-
-    def load_series(self, machine_id: str) -> np.ndarray:
-        """One machine's per-second assigned-rate series (caller-owned)."""
-        return self._materialise(self.loads[self.kernel.index_of(machine_id)])
-
-    def materialise_draws(self) -> Dict[str, np.ndarray]:
-        """Full per-machine draw dict, shaped like ``WindowAssignment.draws``."""
-        return {
-            mid: self._materialise(self.draws[i])
-            for i, mid in enumerate(self.kernel.machine_ids)
-        }
 
 
 class ServingSetKernel:
     """Composite balance/power evaluator for one frozen serving set.
 
-    Collapses the per-machine chain of
-    :meth:`LoadBalancer.balance_series` + ``idle + slope * load`` draws
+    Collapses the per-machine chain of per-second
+    :meth:`LoadBalancer.balance` rounds + ``idle + slope * load`` draws
     into one object whose per-set constants (capacity sum, stable
     slope-sort order, per-machine linear-model coefficients) are computed
     once and reused across every segment served by the same set —
@@ -302,7 +180,6 @@ class ServingSetKernel:
         "_max_perfs",
         "_slopes",
         "_idles",
-        "_index",
     )
 
     def __init__(
@@ -320,10 +197,6 @@ class ServingSetKernel:
         self._max_perfs = [p.max_perf for p in profiles]
         self._slopes = [p.slope for p in profiles]
         self._idles = [p.idle_power for p in profiles]
-        self._index = {mid: i for i, mid in enumerate(self.machine_ids)}
-
-    def index_of(self, machine_id: str) -> int:
-        return self._index[machine_id]
 
     def evaluate(
         self,
@@ -377,7 +250,6 @@ class ServingSetKernel:
             inverse=inverse,
             loads=tuple(loads),
             draws=tuple(draws),
-            served=served,
             unserved=np.maximum(uniq - served, 0.0),
         )
 
@@ -535,44 +407,6 @@ class ServingSetKernel:
                 for i, mp in enumerate(self._max_perfs):
                     shares[i] = frac * mp
         return shares
-
-    def evaluate_small(
-        self, rates: np.ndarray
-    ) -> Tuple[List[List[float]], List[List[float]], List[float]]:
-        """Scalar chain for tiny windows (``"efficient"`` strategy only).
-
-        Transition windows (boot/shutdown ceilings) are typically a few
-        seconds long; for those the numpy dispatch overhead of
-        :meth:`evaluate` dwarfs the work, so the replay runs the exact
-        per-second scalar chain instead — the same float ops
-        :meth:`LoadBalancer.balance` performs, which is what makes the
-        two paths bit-identical (pinned by the replay property suite).
-        Returns ``(loads, draws, unserved)`` as per-machine per-second
-        Python lists (loads/draws) and a per-second list (unserved).
-        """
-        n = len(self.machine_ids)
-        n_sec = len(rates)
-        cap = self.capacity
-        mps, slopes, idles = self._max_perfs, self._slopes, self._idles
-        loads = [[0.0] * n_sec for _ in range(n)]
-        draws = [[idles[i]] * n_sec for i in range(n)]
-        unserved = [0.0] * n_sec
-        for k, rate in enumerate(rates.tolist()):
-            served = rate if rate < cap else cap
-            if served > 0:
-                remaining = served
-                for i in self._order:
-                    mp = mps[i]
-                    take = remaining if remaining < mp else mp
-                    loads[i][k] = take
-                    draws[i][k] = idles[i] + slopes[i] * take
-                    remaining -= take
-                    if remaining <= 1e-12:
-                        break
-            over = rate - served
-            if over > 0:
-                unserved[k] = over
-        return loads, draws, unserved
 
 
 #: Process-wide kernel LRU.  Keys carry the full frozen profiles (not just

@@ -1,4 +1,4 @@
-"""Event-driven data-center replay (segment-compressed + reference engines).
+"""Event-driven data-center replay (two-phase + reference engines).
 
 This is the from-first-principles counterpart of the vectorised
 :func:`repro.sim.datacenter.execute_plan`: every machine is a real
@@ -16,49 +16,38 @@ missing machines, hand over the serving set once the slowest boot
 completes (migrating instances off retiring machines), then shut the
 surplus machines down.  No decision is taken before the window completes.
 
-Three engines replay that rule:
+Two engines replay that rule:
 
 * ``engine="reference"`` — the original O(seconds x machines) Python loop:
   one load-balancer round, one ledger write per machine, and one cluster
   power scan per second.  Kept as the executable specification.
-* ``engine="segments"`` — the PR 5 segment-compressed engine.  Between
-  events the serving set is piecewise-constant, so the replay advances
-  boundary to boundary (machine-state events, instance-ready times,
-  decision points found by scanning the predictor series against
-  mixed-radix table row ids, exactly like the scheduler) and evaluates
-  each steady segment with the memoised **serving-set kernel**
-  (:func:`~repro.sim.loadbalancer.serving_set_kernel`): the exact
-  per-machine balance/draw chain runs once over the window's *unique*
-  rates, results are scattered back through the gather index, and the
-  per-machine ledger writes are buffered by the **deferred array
-  ledger** (:meth:`~repro.sim.energy.EnergyMeter.record_gather`) and
-  settled in one ``np.cumsum`` pass per machine.  Every kernel mirrors
-  the per-second float-operation order exactly — equal inputs get equal
-  outputs by construction — so the produced series, ledger totals and
-  counters are **bit-identical** to the reference engine (pinned by
-  ``tests/properties/test_prop_replay.py``), while day-scale replays
-  run orders of magnitude faster.
 * ``engine="twophase"`` (default) — the two-phase control/evaluate
-  engine.  The **control pass** is the same boundary-to-boundary walk,
-  but pure and allocation-light: it runs the FSM/event bookkeeping and
-  emits one ``(serving set, window)`` descriptor per steady segment —
-  no kernel math, no energy settling (ledger transitions are journaled
-  by the meter's batch mode).  The **evaluate pass** then groups *all*
-  windows sharing a frozen serving set across the whole run — not just
-  consecutive ones — concatenates their rate windows and runs each
-  group through **one** kernel invocation, scattering results back
-  through a run-level gather plan; the journal is settled afterwards by
+  engine.  The **control pass** resolves every decision up front with
+  the planner's :class:`~repro.core.scheduler.DecisionWalk`, then
+  advances boundary to boundary (machine-state events, instance-ready
+  times, decision points): between boundaries the serving set is
+  piecewise-constant, so the pass runs only the FSM/event bookkeeping
+  and emits one ``(serving set, window)`` descriptor per steady
+  segment — no kernel math, no energy settling (ledger transitions are
+  journaled by the meter's batch mode).  The **evaluate pass** then
+  groups *all* windows sharing a frozen serving set across the whole
+  run, concatenates their rate windows and runs each group through
+  **one** memoised serving-set kernel
+  (:func:`~repro.sim.loadbalancer.serving_set_kernel`): the exact
+  per-machine balance/draw chain over the group's *unique* rates,
+  scattered back through a gather index.  The journal is settled
+  afterwards by
   :meth:`~repro.sim.energy.EnergyMeter.record_batch_windows`, which
   merges each machine's adjacent windows into run-coalesced gathers, so
   its full contribution stream collapses to a handful of ``np.cumsum``
-  passes over the whole run.  The kernel chain is elementwise over the
-  rate values, so evaluating a group's concatenation is bit-identical
-  to evaluating its windows one by one — the same property suite pins
-  all three engines against each other.  Per-segment cost drops from
-  O(serving machines) kernel work to emitting one descriptor, which is
-  what makes year-scale replays a seconds-scale operation.
+  passes over the whole run.  Every kernel mirrors the per-second
+  float-operation order exactly — equal inputs get equal outputs by
+  construction — so the produced series, ledger totals, records and
+  counters are **bit-identical** to the reference engine (pinned by
+  ``tests/properties/test_prop_replay.py``), while year-scale replays
+  take seconds.
 
-Reconfigurations themselves still run through the real FSM/event-queue
+Reconfigurations themselves run through the real FSM/event-queue
 machinery in both engines: booting, migration round-robin, shutdown victim
 selection and the energy ledger writes they imply are shared code, not
 re-derived.
@@ -66,10 +55,9 @@ re-derived.
 
 from __future__ import annotations
 
-import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -79,15 +67,15 @@ from ..core.prediction import (
     Predictor,
     cached_prediction_series,
 )
-from ..core.reconfiguration import Reconfiguration
-from ..core.scheduler import _decision_ids, _next_decision
+from ..core.reconfiguration import Reconfiguration, Transition, _ceil_s
+from ..core.scheduler import DecisionWalk, _decision_ids
 from ..workload.trace import LoadTrace
 from .application import Application, ApplicationSpec
 from .cluster import Cluster
 from .energy import EnergyMeter
 from .events import EventQueue
 from .loadbalancer import LoadBalancer, ServingSetKernel, serving_set_kernel
-from .machine import Machine, MachineState, _ceil_s
+from .machine import Machine, MachineState
 from .results import SimulationResult
 
 __all__ = ["EventDrivenReplay", "ReplayStats"]
@@ -99,7 +87,7 @@ class ReplayStats:
 
     Engine-shape telemetry (segment, serving-set and batch counts) lives
     in ``SimulationResult.meta`` instead: these counters are part of the
-    cross-engine bit-identity contract (``ref.stats == seg.stats``), and
+    cross-engine bit-identity contract (``ref.stats == two.stats``), and
     the reference engine has no segments to count.
     """
 
@@ -115,8 +103,8 @@ class _ControlPlan:
 
     ``descs[j] = (t, b, kernel_idx, plan_idx)`` describes steady segment
     ``[t, b)`` served by ``kernels[kernel_idx]`` under power-accumulation
-    plan ``plans[plan_idx]`` (the ``(draw key | None, constant)`` pairs of
-    the segment engine, deduplicated by content).  The meter holds the
+    plan ``plans[plan_idx]`` (``(draw key | None, constant)`` pairs in
+    cluster order, deduplicated by content).  The meter holds the
     matching journal; descriptor ``j``'s marker is the integer ``j``.
     """
 
@@ -204,8 +192,7 @@ class EventDrivenReplay:
             for name in (*starts, *stops)
         }
         for name in stops:
-            p = profs[name]
-            off_dur = max(off_dur, int(math.ceil(p.off_time - 1e-9)))
+            off_dur = max(off_dur, _ceil_s(profs[name].off_time))
         if boot_dur == 0:
             # Pure scale-down: the hand-over happens at the decision itself
             # (the queue only drains at the next loop step).
@@ -271,119 +258,21 @@ class EventDrivenReplay:
                 self.app.deploy(m, now)
         self._serving = serving
 
-    # -- precomputed reconfiguration schedule (two-phase control pass) ------
-    def _reconfig_schedule(
-        self,
-        pred: np.ndarray,
-        cid: np.ndarray,
-        changes: np.ndarray,
-        grid_idx: np.ndarray,
-        initial: Combination,
-    ) -> List[tuple]:
-        """Resolve every reconfiguration the decision series implies.
-
-        One compact pass over the *genuine* serving-set transitions —
-        not the per-segment walk — replays the scheduler's decision rule
-        symbolically: from each decision time the next one is the first
-        second at or after the reconfiguration window's end whose
-        combination id differs, exactly the ``_next_decision`` scan the
-        walk used to run per segment.  Boot/off durations are pure
-        profile math (``power_on`` sets ``transition_ends = now +
-        _ceil_s(on_time)``, so the FSM walk's ``int(transition_ends -
-        t)`` *is* ``_ceil_s(on_time)``), which lets every window,
-        duration and energy figure of the
-        :class:`~repro.core.reconfiguration.Reconfiguration` record be
-        fixed here; :meth:`_start_scheduled` later performs only the
-        irreducible FSM/event work.  Deltas between combination ids
-        repeat heavily under periodic traces, so they are memoised per
-        ``(from_id, to_id)`` pair.
-
-        Entries: ``(t, target, starts, stops, boot_dur, off_dur, until,
-        on_energy, off_energy)`` with ``starts``/``stops`` as ``(name,
-        count)`` tuples in ``Combination.diff`` iteration order (the
-        journal and energy-sum order of the FSM walk).
-        """
-        table = self.table
-        profile = self.cluster.profile
-        horizon = len(cid)
-        sched: List[tuple] = []
-        delta_memo: Dict[Tuple[int, int], tuple] = {}
-        cur = initial
-        cur_id = int(cid[0])
-        d_from = 1
-        pos = 0
-        n_changes = len(changes)
-        while d_from < horizon:
-            if cid[d_from] != cur_id:
-                td = d_from
-            else:
-                while pos < n_changes and changes[pos] <= d_from:
-                    pos += 1
-                td = None
-                while pos < n_changes:
-                    c = int(changes[pos])
-                    if cid[c] != cur_id:
-                        td = c
-                        break
-                    pos += 1
-                if td is None:
-                    break
-            td = int(td)
-            if cid[td] == -1:
-                # Raises for rates beyond the table, like the walk would
-                # at this decision second.
-                table.combination_for(float(pred[td]))
-            new_id = int(cid[td])
-            info = delta_memo.get((cur_id, new_id))
-            if info is None:
-                target = table.combo_at(int(grid_idx[td]))
-                delta = cur.diff(target)
-                starts = tuple((n, d) for n, d in delta.items() if d > 0)
-                stops = tuple((n, -d) for n, d in delta.items() if d < 0)
-                boot_dur = 0
-                on_energy = 0
-                for name, cnt in starts:
-                    p = profile(name)
-                    dur = _ceil_s(p.on_time)
-                    if dur > boot_dur:
-                        boot_dur = dur
-                    on_energy = on_energy + cnt * p.on_energy
-                off_dur = 0
-                off_energy = 0
-                for name, cnt in stops:
-                    p = profile(name)
-                    dur = int(math.ceil(p.off_time - 1e-9))
-                    if dur > off_dur:
-                        off_dur = dur
-                    off_energy = off_energy + cnt * p.off_energy
-                info = (
-                    target, starts, stops, boot_dur, off_dur,
-                    on_energy, off_energy,
-                )
-                delta_memo[(cur_id, new_id)] = info
-            target, starts, stops, boot_dur, off_dur, on_e, off_e = info
-            until = td + boot_dur + off_dur
-            sched.append(
-                (td, target, starts, stops, boot_dur, off_dur, until,
-                 on_e, off_e)
-            )
-            cur = target
-            cur_id = new_id
-            d_from = until if until > td else td + 1
-        return sched
-
-    def _start_scheduled(self, entry: tuple) -> None:
-        """Execute one precomputed reconfiguration through the real FSM.
+    def _start_scheduled(
+        self, t: int, target: Combination, tr: Transition
+    ) -> None:
+        """Execute one decision of the walk through the real FSM.
 
         The boot/hand-over/shutdown event machinery is shared with
-        :meth:`_start_reconfiguration` — only the delta/duration/energy
-        bookkeeping is skipped, because the schedule already fixed it.
+        :meth:`_start_reconfiguration`; the delta, durations and energies
+        come from the walk's :class:`~repro.core.reconfiguration.Transition`.
+        ``power_on`` sets ``transition_ends = now + _ceil_s(on_time)``, so
+        the reference engine's ``int(transition_ends - t)`` *is* the
+        transition's boot duration.
         """
-        (t, target, starts, stops, boot_dur, off_dur, until,
-         on_energy, off_energy) = entry
         booted: List[Machine] = []
         boots = self.stats.boots
-        for name, cnt in starts:
+        for name, cnt in tr.starts:
             machines = self.cluster.boot(name, cnt, t)
             booted.extend(machines)
             boots[name] = boots.get(name, 0) + cnt
@@ -391,28 +280,28 @@ class EventDrivenReplay:
                 self.queue.schedule(
                     m.transition_ends, m.complete_boot, m.transition_ends
                 )
-        stops_d = dict(stops)
-        if boot_dur == 0:
+        stops = dict(tr.stops)
+        if tr.boot_duration == 0:
             # Pure scale-down: the hand-over happens at the decision
             # itself (the queue only drains at the next loop step).
-            self._handover(float(t), target, stops_d, booted)
+            self._handover(float(t), target, stops, booted)
         else:
-            handover = t + boot_dur
+            handover = t + tr.boot_duration
             self._pending_handover = handover
             self.queue.schedule(
-                handover, self._handover, handover, target, stops_d, booted
+                handover, self._handover, handover, target, stops, booted
             )
-        self._reconfig_until = until
+        self._reconfig_until = t + tr.boot_duration + tr.off_duration
         self._events.append(
             Reconfiguration(
                 decided_at=t,
-                completes_at=until,
+                completes_at=self._reconfig_until,
                 before=self._current,
                 after=target,
-                boot_duration=boot_dur,
-                off_duration=off_dur,
-                on_energy=on_energy,
-                off_energy=off_energy,
+                boot_duration=tr.boot_duration,
+                off_duration=tr.off_duration,
+                on_energy=tr.on_energy,
+                off_energy=tr.off_energy,
             )
         )
         self._current = target
@@ -483,15 +372,12 @@ class EventDrivenReplay:
         """Replay the full trace; returns the same result type as the fast path.
 
         ``engine="twophase"`` (default) runs the two-phase
-        control/evaluate engine; ``engine="segments"`` the PR 5
-        segment-compressed engine; ``engine="reference"`` the original
-        per-second Python loop.  All three produce bit-identical results;
-        a replay object is single-use either way.
+        control/evaluate engine; ``engine="reference"`` the original
+        per-second Python loop.  Both produce bit-identical results; a
+        replay object is single-use either way.
         """
         if engine == "twophase":
             return self._run_twophase()
-        if engine == "segments":
-            return self._run_segments()
         if engine == "reference":
             return self._run_reference()
         raise ValueError(f"unknown engine {engine!r}")
@@ -525,252 +411,45 @@ class EventDrivenReplay:
         self._phase_s["control"] = _time.perf_counter() - t1
         return self._finish(horizon, power, unserved, {"engine": "reference"})
 
-    def _run_segments(self) -> SimulationResult:
-        """Segment-compressed replay: batch every steady window onto numpy.
-
-        The loop advances from boundary to boundary instead of second to
-        second.  A boundary is the earliest of: the next event's effect
-        time (events fire when the clock *reaches* them, so an event at
-        ``tau`` becomes visible at step ``ceil(tau)``), the next decision
-        point (first second at or after the reconfiguration window's end
-        whose predicted combination id differs from the current one), the
-        next instance-ready threshold on a serving machine, and the
-        horizon.  Within a segment the serving set, machine states and
-        instance readiness are constant, so the whole window collapses
-        onto the vectorised balancer/ledger kernels.
-        """
-        trace = self.trace
-        horizon = len(trace)
-        t0 = _time.perf_counter()
-        pred = self._prediction_series(trace)
-        t1 = _time.perf_counter()
-        self._phase_s["predict"] = t1 - t0
-        power = np.empty(horizon)
-        unserved = np.zeros(horizon)
-
-        initial = self.table.combination_for(float(pred[0]))
-        self._materialise_initial(initial, 0.0)
-
-        cid, changes, grid_idx = _decision_ids(self.table, pred, strict=False)
-        cur_id = int(cid[0])
-        values = trace.values
-        # One whole-trace check lets every window skip its own (the
-        # reference raises on the first negative rate it balances; the
-        # segment engine raises before starting, same user outcome).
-        if np.any(values < 0):
-            raise ValueError("rate must be >= 0")
-        # Decide the unique-rate compression once for the whole trace
-        # (rate repetition is a trace property, not a window property):
-        # sample the head, compress when it repeats enough to pay for the
-        # per-window sort.  Either choice is bit-identical.
-        head = values[: min(len(values), 4096)]
-        compress = len(np.unique(head)) <= 0.75 * len(head)
-        kernel_memo: Dict[Tuple[str, ...], object] = {}
-        machine_list: List[Machine] = []
-        acc_plan: List[Tuple[Optional[str], float]] = []
-        plan_key: Optional[Tuple[str, ...]] = None
-        n_segments = 0
-        t = 0
-        while t < horizon:
-            fired = self.queue.run_until(t)
-            state_changed = fired > 0 or t == 0
-            if t >= self._reconfig_until and cid[t] != cur_id:
-                if cid[t] == -1:
-                    # Raises for rates beyond the table, like the reference.
-                    self.table.combination_for(float(pred[t]))
-                # clipped_index applies combination_for's exact rounding,
-                # so the precomputed grid index is the same lookup.
-                target = self.table.combo_at(int(grid_idx[t]))
-                if target != self._current:
-                    self._start_reconfiguration(t, target)
-                    state_changed = True
-                cur_id = int(cid[t])
-
-            # -- next boundary ------------------------------------------------
-            b = horizon
-            nxt = self.queue.peek_time()
-            if nxt is not None:
-                b = min(b, max(int(math.ceil(nxt - 1e-9)), t + 1))
-            d_from = self._reconfig_until if t < self._reconfig_until else t + 1
-            if d_from < b:
-                td = _next_decision(cid, changes, d_from, cur_id)
-                if td is not None:
-                    b = min(b, td)
-            if state_changed:
-                # The serving list and the instance placement only move
-                # inside reconfigurations/events; the machine pool only
-                # grows there too.
-                serving_pairs = [
-                    (m, self.app.instance_on(m)) for m in self._serving
-                ]
-                machine_list = self.cluster.machines()
-            for m, inst in serving_pairs:
-                if inst is not None and inst.ready_at > t:
-                    b = min(b, max(int(math.ceil(inst.ready_at - 1e-9)), t + 1))
-
-            # -- evaluate the steady segment [t, b) --------------------------
-            # The memoised serving-set kernel runs the exact per-machine
-            # balance/draw chain on the window's *unique* rates only; the
-            # gather index scatters every unique result back to per-second
-            # order, so the per-second series stay bit-identical while the
-            # window-length work collapses to a constant number of ops.
-            ready = [
-                m
-                for m, inst in serving_pairs
-                if m.state is MachineState.ON
-                and inst is not None
-                and inst.is_ready(t)
-            ]
-            # Two-level kernel memo: the replay-local dict avoids hashing
-            # full profiles per segment (machine ids are stable within one
-            # replay); the process-wide LRU underneath provides the
-            # cross-replay reuse and the telemetry.
-            memo_key = (self.balancer.strategy, *(m.machine_id for m in ready))
-            kernel = kernel_memo.get(memo_key)
-            if kernel is None:
-                kernel = serving_set_kernel(self.balancer.strategy, ready)
-                kernel_memo[memo_key] = kernel
-            # The accumulation plan — which cluster position contributes a
-            # draw series vs a constant — only changes when states move or
-            # the ready set does, so it is rebuilt per epoch, not per
-            # segment.  OFF machines are dropped from it: adding their
-            # 0.0 draw is a float no-op the reference chain performs
-            # without effect.
-            if state_changed or memo_key != plan_key:
-                ready_ids = frozenset(m.machine_id for m in ready)
-                # ready machines are ON by construction, so the OFF
-                # filter alone decides membership
-                acc_plan = [
-                    (m.machine_id if m.machine_id in ready_ids else None,
-                     m.power_draw)
-                    for m in machine_list
-                    if m.state is not MachineState.OFF
-                ]
-                plan_key = memo_key
-            if b - t <= 24 and self.balancer.strategy == "efficient":
-                # Tiny transition windows: the exact per-second scalar
-                # chain beats numpy dispatch overhead (bit-identical by
-                # construction — it is the reference chain).
-                s_loads, s_draws, s_unserved = kernel.evaluate_small(
-                    values[t:b]
-                )
-                unserved[t:b] = s_unserved
-                draw_cols = dict(zip(kernel.machine_ids, s_draws))
-                power[t:b] = [
-                    sum(
-                        const if key is None else draw_cols[key][k]
-                        for key, const in acc_plan
-                    )
-                    for k in range(b - t)
-                ]
-                for m, loads_c, draws_c in zip(ready, s_loads, s_draws):
-                    m.load = float(
-                        min(max(loads_c[-1], 0.0), m.profile.max_perf)
-                    )
-                    self.meter.record_gather(
-                        m.machine_id, np.asarray(draws_c), None, t
-                    )
-            else:
-                window = kernel.evaluate(
-                    values[t:b], pre_validated=True, compress=compress
-                )
-                inverse = window.inverse
-                unserved[t:b] = window.gather(window.unserved)
-                # Power: same machine iteration order (and therefore float
-                # accumulation order) as Cluster.total_power, one vector
-                # op per machine over the unique rates instead of the
-                # window.
-                draw_of = dict(zip(kernel.machine_ids, window.draws))
-                acc = np.zeros(window.n_unique)
-                for draw_key, const in acc_plan:
-                    acc += const if draw_key is None else draw_of[draw_key]
-                power[t:b] = window.gather(acc)
-                # Side effects: leave each serving machine holding the
-                # window's final load (shutdown-victim ordering, drain
-                # checks) and hand the deferred ledger the same gather
-                # pairs — no per-machine per-second series is materialised
-                # unless a consumer asks (KernelWindow.draw_series /
-                # load_series).
-                last = -1 if inverse is None else int(inverse[-1])
-                for m, loads_u, draws_u in zip(ready, window.loads, window.draws):
-                    m.load = float(
-                        min(max(float(loads_u[last]), 0.0), m.profile.max_perf)
-                    )
-                    self.meter.record_gather(m.machine_id, draws_u, inverse, t)
-            if state_changed:
-                # Machine states only move when events fired or a
-                # reconfiguration started this step; n_on is constant on
-                # every other segment, so the peak cannot move either.
-                n_on = self.cluster.n_in_state(MachineState.ON)
-                self.stats.peak_machines_on = max(
-                    self.stats.peak_machines_on, n_on
-                )
-            n_segments += 1
-            t = b
-        # The segment engine evaluates inline, so "control" here covers
-        # the walk *and* the kernel math (the breakdown the two-phase
-        # engine separates).
-        self._phase_s["control"] = _time.perf_counter() - t1
-        return self._finish(
-            horizon, power, unserved,
-            {
-                "engine": "segments",
-                "segments": n_segments,
-                "serving_sets": len(kernel_memo),
-                # one kernel invocation per segment — the count the
-                # two-phase engine collapses to one per serving set
-                "batches": n_segments,
-            },
-        )
-
     # -- two-phase engine --------------------------------------------------
     def _refresh_loads(
         self,
         ready: List[Machine],
         rate: float,
-        kernel: Optional[ServingSetKernel] = None,
+        kernel: Optional[ServingSetKernel],
     ) -> None:
         """Leave ``ready`` machines holding the previous window's final load.
 
-        The evaluating engines assign loads as a side effect of every window;
-        the pure control pass only needs them where the FSM reads them
-        (shutdown-victim ordering, drain checks), so it runs one scalar
-        balance round there.  The scalar chain is bit-identical to the
-        kernel's final column (pinned by the windowed-balancer property),
-        and the clamp matches the segment engine's.  Loads are written
+        The reference engine assigns loads as a side effect of every
+        second; the pure control pass only needs them where the FSM reads
+        them (shutdown-victim ordering, drain checks), so it runs one
+        scalar balance round there on the serving set's kernel
+        (:meth:`ServingSetKernel.loads_at`, the exact float chain of
+        :meth:`LoadBalancer.balance` on the kernel's cached fill order),
+        with :meth:`Machine.assign_load`'s clamp.  Loads are written
         directly — the journal, not this refresh, is what the meter sees.
-        When the caller already holds the serving set's kernel, its cached
-        fill order is used (:meth:`ServingSetKernel.loads_at`) instead of
-        re-sorting machines on every refresh.
+        ``kernel`` is the one ``ready`` was evaluated on; it is only
+        ``None`` before the first window, when ``ready`` is empty.
         """
         if not ready:
             return
-        if kernel is not None:
-            for m, share in zip(ready, kernel.loads_at(rate)):
-                m.load = share if share <= m.profile.max_perf else m.profile.max_perf
-                if m.load < 0.0:
-                    m.load = 0.0
-            return
-        shares = self.balancer.balance(rate, ready).shares
-        for m in ready:
-            m.load = float(
-                min(max(shares[m.machine_id], 0.0), m.profile.max_perf)
-            )
+        for m, share in zip(ready, kernel.loads_at(rate)):
+            m.load = share if share <= m.profile.max_perf else m.profile.max_perf
+            if m.load < 0.0:
+                m.load = 0.0
 
     def _control_pass(self) -> _ControlPlan:
         """Phase 1: walk boundaries, emit descriptors, journal the meter.
 
-        The same boundary-to-boundary semantics as ``_run_segments`` —
-        events, decision points, instance-ready ceilings, epoch-cached
-        serving pairs and accumulation plans — minus all evaluation:
-        each steady segment becomes one ``(t, b, kernel, plan)``
-        descriptor plus one marker in the meter's journal.  The walk is
-        driven by the **precomputed reconfiguration schedule**
-        (:meth:`_reconfig_schedule`): decision times, targets, windows
-        and record fields are resolved up front in one pass over the
-        decision series, so the per-boundary work left here is the
-        irreducible FSM/event bookkeeping plus descriptor emission.
-        Steady boundaries with no state change and no instance-ready
+        Boundaries are events, decision points and instance-ready
+        ceilings; serving pairs and accumulation plans are cached per
+        epoch, and each steady segment becomes one ``(t, b, kernel,
+        plan)`` descriptor plus one marker in the meter's journal.  The
+        decisions come from one :class:`~repro.core.scheduler.DecisionWalk`
+        over the whole decision series — times, targets, windows and
+        record fields resolved up front — so the per-boundary work left
+        here is the irreducible FSM/event bookkeeping plus descriptor
+        emission.  Steady boundaries with no state change and no instance-ready
         threshold crossed reuse the previous segment's kernel/plan
         indices outright.  Machine loads are only refreshed (one scalar
         balance) at boundaries where a hand-over or decision reads them.
@@ -791,7 +470,9 @@ class EventDrivenReplay:
         self._materialise_initial(initial, 0.0)
 
         cid, changes, grid_idx = _decision_ids(self.table, pred, strict=False)
-        sched = self._reconfig_schedule(pred, cid, changes, grid_idx, initial)
+        walk = DecisionWalk(self.table, initial, int(cid[0]), int(grid_idx[0]))
+        sched = walk.advance(0, cid, grid_idx, pred, changes)
+        combo_at = self.table.combo_at
 
         descs: List[Tuple[int, int, int, int]] = []
         kernels: List[object] = []
@@ -845,7 +526,8 @@ class EventDrivenReplay:
                     prev_ready, float(values[t - 1]), prev_kernel
                 )
                 run_until(t)
-                self._start_scheduled(sched[sched_i])
+                _, target, tr = sched[sched_i]
+                self._start_scheduled(t, combo_at(target), tr)
                 sched_i += 1
                 next_decide = (
                     sched[sched_i][0] if sched_i < n_sched else horizon
@@ -867,7 +549,7 @@ class EventDrivenReplay:
             if heap:
                 nxt = queue.peek_time()
                 if nxt is not None:
-                    nb = int(math.ceil(nxt - 1e-9))
+                    nb = _ceil_s(nxt)
                     if nb <= t:
                         nb = t + 1
                     if nb < b:
@@ -898,7 +580,7 @@ class EventDrivenReplay:
                 pr_i += 1
                 ready_stale = True
             if pr_i < n_pending:
-                nb = int(math.ceil(pending_ready[pr_i] - 1e-9))
+                nb = _ceil_s(pending_ready[pr_i])
                 if nb <= t:
                     nb = t + 1
                 if nb < b:
@@ -978,7 +660,7 @@ class EventDrivenReplay:
         the per-window evaluation bit for bit.  Results scatter back as
         one contiguous slice write per descriptor (``power[t:b]``) from
         the per-plan accumulated series; per-(group, plan) power
-        accumulation reuses the segment engine's exact machine order.
+        accumulation follows ``Cluster.total_power``'s machine order.
         Returns the series plus per-descriptor ``(window, offset,
         length)`` views for the meter journal's resolver.
         """

@@ -22,13 +22,11 @@ over arbitrary (non-integer) intervals.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..core.profiles import ArchitectureProfile
+from ..core.reconfiguration import _ceil_s
 from .energy import EnergyMeter
 
 __all__ = ["MachineState", "Machine", "MachineError"]
@@ -43,10 +41,6 @@ class MachineState(enum.Enum):
     BOOTING = "booting"
     ON = "on"
     STOPPING = "stopping"
-
-
-def _ceil_s(x: float) -> int:
-    return int(math.ceil(x - 1e-9))
 
 
 @dataclass
@@ -142,36 +136,6 @@ class Machine:
         self.meter.set_power(self.machine_id, 0.0, now)
 
     # -- serving ---------------------------------------------------------------
-    def assign_load_series(self, rates: "np.ndarray", t_start: int) -> "np.ndarray":
-        """Assign one serving rate per second from ``t_start``; returns draws.
-
-        Batch counterpart of calling :meth:`assign_load` once per second
-        over a window in which the machine stays ON: the whole window's
-        draws (``idle + slope * rate``, the exact float expression of
-        :attr:`power_draw`) are written to the meter in one
-        :meth:`~repro.sim.energy.EnergyMeter.record_series` call and the
-        machine is left holding the window's last load.  ``rates`` must
-        already respect the capacity bounds (the vectorised load balancer
-        guarantees this by construction).
-        """
-        if self.state is not MachineState.ON:
-            raise MachineError(
-                f"{self.machine_id}: assign_load_series in {self.state.name}"
-            )
-        rates = np.asarray(rates, dtype=float)
-        if len(rates) == 0:
-            raise MachineError(f"{self.machine_id}: empty load series")
-        if np.any(rates < -1e-9) or np.any(
-            rates > self.profile.max_perf * (1 + 1e-9)
-        ):
-            raise MachineError(
-                f"{self.machine_id}: load series outside [0, {self.profile.max_perf}]"
-            )
-        draws = self.profile.idle_power + self.profile.slope * rates
-        self.meter.record_series(self.machine_id, draws, t_start)
-        self.load = float(min(max(float(rates[-1]), 0.0), self.profile.max_perf))
-        return draws
-
     def assign_load(self, rate: float, now: float) -> None:
         """Assign a serving rate (ON machines only, within capacity)."""
         if self.state is not MachineState.ON:

@@ -115,7 +115,7 @@ class SimulationResult:
     def engine(self) -> Optional[str]:
         """Which replay engine produced this result, when recorded.
 
-        ``"twophase"``/``"segments"``/``"reference"`` for the event-driven
+        ``"twophase"``/``"reference"`` for the event-driven
         replay (see :class:`repro.sim.loop.EventDrivenReplay`); ``None``
         for results that tag no engine, such as plan integration's
         (:func:`repro.sim.datacenter.execute_plan`) and the lower bound.
@@ -125,9 +125,8 @@ class SimulationResult:
 
     @property
     def n_segments(self) -> Optional[int]:
-        """Steady segments evaluated by the segment-compressed replay, or
-        the plan segments :func:`repro.sim.datacenter.execute_plan`
-        integrated."""
+        """Steady segments evaluated by the two-phase replay, or the plan
+        segments :func:`repro.sim.datacenter.execute_plan` integrated."""
         value = self.meta.get("segments")
         return int(value) if value is not None else None
 

@@ -10,7 +10,7 @@ from repro.core.reconfiguration import (
     Segment,
     build_plan,
     plan_reconfiguration,
-    reconfiguration_window,
+    transition,
 )
 
 P = TABLE_I["paravance"]
@@ -36,22 +36,39 @@ class TestSegment:
         assert Segment(3, 10, combo(r=1)).duration == 7
 
 
+def window(current, target):
+    tr = transition(current, target)
+    return tr.boot_duration, tr.off_duration
+
+
 class TestReconfigurationWindow:
     def test_scale_up_uses_boot_time(self):
-        boot, off = reconfiguration_window(combo(r=1), combo(r=1, p=1))
+        boot, off = window(combo(r=1), combo(r=1, p=1))
         assert boot == 189 and off == 0
 
     def test_scale_down_uses_off_time(self):
-        boot, off = reconfiguration_window(combo(r=1, p=1), combo(r=1))
+        boot, off = window(combo(r=1, p=1), combo(r=1))
         assert boot == 0 and off == 10
 
     def test_swap_uses_both(self):
-        boot, off = reconfiguration_window(combo(c=5), combo(p=1))
+        boot, off = window(combo(c=5), combo(p=1))
         assert boot == 189 and off == 21
 
     def test_max_over_started_architectures(self):
-        boot, _ = reconfiguration_window(combo(), combo(c=1, r=1))
+        boot, _ = window(combo(), combo(c=1, r=1))
         assert boot == 16  # raspberry (16 s) boots slower than chromebook (12 s)
+
+    def test_deltas_and_energies_in_diff_order(self):
+        tr = transition(combo(c=5, r=1), combo(p=1, r=3))
+        assert tr.starts == (("paravance", 1), ("raspberry", 2))
+        assert tr.stops == (("chromebook", 5),)
+        assert tr.on_energy == P.on_energy + 2 * R.on_energy
+        assert tr.off_energy == 5 * C.off_energy
+
+    def test_nothing_started_keeps_int_zero_energy(self):
+        tr = transition(combo(c=2), combo(c=1))
+        assert tr.starts == () and tr.on_energy == 0
+        assert type(tr.on_energy) is int  # journal payloads encode it so
 
 
 class TestPlanReconfiguration:

@@ -11,7 +11,7 @@ from repro.core.reconfiguration import (
     Segment,
     build_plan,
     plan_reconfiguration,
-    reconfiguration_window,
+    transition,
 )
 
 #: The property suites pin the bit-identity contracts cheaply; they are
@@ -30,7 +30,8 @@ combo_st = st.builds(
 
 @given(combo_st, combo_st)
 def test_window_durations_bound_profiles(a, b):
-    boot, off = reconfiguration_window(a, b)
+    tr = transition(a, b)
+    boot, off = tr.boot_duration, tr.off_duration
     max_on = max(int(np.ceil(p.on_time)) for p in TRIO)
     max_off = max(int(np.ceil(p.off_time)) for p in TRIO)
     assert 0 <= boot <= max_on

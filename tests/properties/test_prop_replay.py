@@ -1,12 +1,13 @@
-"""Equivalence properties for the segment-compressed replay engine.
+"""Equivalence properties for the two-phase replay engine.
 
-PR 2's contract, mirroring ``test_prop_vectorized.py``'s for the
-combination kernels: the segment-compressed engine of
-:class:`repro.sim.loop.EventDrivenReplay` (windowed load balancing, array
-energy ledger, jump-to-boundary main loop) must be **bit-identical** to
-the per-second FSM reference — power series, unserved series, per-machine
-meter totals, reconfiguration log and machine-level counters — including
-under nonzero instance start/stop times and both balancing strategies.
+The contract, mirroring ``test_prop_vectorized.py``'s for the
+combination kernels: the two-phase engine of
+:class:`repro.sim.loop.EventDrivenReplay` (decision walk, control pass,
+grouped serving-set kernels, journaled array ledger) must be
+**bit-identical** to the per-second FSM reference — power series,
+unserved series, per-machine meter totals, whole reconfiguration records
+and machine-level counters — including under nonzero instance start/stop
+times and both balancing strategies.
 """
 
 from functools import lru_cache
@@ -56,7 +57,7 @@ def stepped_trace(draw):
 
 
 #: Every replay implementation; index 0 is the executable specification.
-ALL_ENGINES = ("reference", "segments", "twophase")
+ALL_ENGINES = ("reference", "twophase")
 
 
 def _run_pair(infra, trace, window, spec, strategy):
@@ -84,13 +85,8 @@ def _assert_identical(ref, other, ref_replay, other_replay):
     # per-machine ledgers, not just the total
     assert ref_replay.meter._totals == other_replay.meter._totals
     assert ref_replay.stats == other_replay.stats
-    assert len(ref.reconfigurations) == len(other.reconfigurations)
-    for a, b in zip(ref.reconfigurations, other.reconfigurations):
-        assert a.decided_at == b.decided_at
-        assert a.completes_at == b.completes_at
-        assert a.before == b.before and a.after == b.after
-        assert a.on_energy == b.on_energy
-        assert a.off_energy == b.off_energy
+    # whole records: every field, boot/off durations included
+    assert ref.reconfigurations == other.reconfigurations
 
 
 class TestEngineEquivalence:
@@ -131,7 +127,7 @@ class TestEngineEquivalence:
             short_trace,
             predictor=LookAheadMaxPredictor(378),
         )
-        result = replay.run(engine="segments")
+        result = replay.run(engine="twophase")
         assert result.meta["meter_energy_j"] == pytest.approx(
             result.total_energy, rel=1e-9
         )
@@ -151,9 +147,9 @@ class TestEngineEquivalence:
                 predictor=LookAheadMaxPredictor(378),
             ).run(engine=engine)
 
-        first = run("segments")
+        first = run("twophase")
         before = serving_kernel_cache_stats()
-        second = run("segments")
+        second = run("twophase")
         after = serving_kernel_cache_stats()
         reference = run("reference")
         assert np.array_equal(first.power, second.power)
@@ -217,7 +213,7 @@ class TestTwoPhaseScenarios:
     )
     def test_constrained_nodes_bit_identical(self, infra, trace, inventory):
         """Bounded inventory: clamped plans and unserved demand replay
-        identically on all three engines (runner's exact construction)."""
+        identically on both engines (runner's exact construction)."""
         results = []
         replays = []
         for engine in ALL_ENGINES:
@@ -262,16 +258,37 @@ class TestTwoPhaseScenarios:
         ]
 
 
+def _batch_windows(meter, windows):
+    """Journal ``(machine_id, powers, t_start)`` windows and transitions.
+
+    ``windows`` holds per-second power windows and ``(machine_id, power,
+    now)`` transitions in time order; each window is evaluated the way
+    the two-phase replay evaluates a segment (unique values plus the
+    gather index) and settled by ``record_batch_windows``, the meter's
+    only producer of pending streams.
+    """
+    bundles = []
+    meter.begin_batch()
+    for entry in windows:
+        if len(entry) == 3 and np.ndim(entry[1]) == 0:
+            meter.set_power(*entry)
+            continue
+        machine_id, powers, t0 = entry
+        uniq, inverse = np.unique(powers, return_inverse=True)
+        meter.batch_mark(len(bundles))
+        bundles.append(((machine_id,), (uniq,), inverse, 0, len(powers), t0))
+    meter.record_batch_windows(bundles.__getitem__)
+
+
 class TestDeferredLedgerProperty:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
-    def test_record_gather_matches_per_second_set_power(self, data):
-        """The PR 5 deferred gather ledger replays the scalar chain.
+    def test_batch_windows_match_scalar_chain(self, data):
+        """The journaled gather ledger replays the scalar chain.
 
-        Mirrors ``test_record_series_matches_per_second_set_power`` with
-        the gather representation (unique values + inverse) and a few
-        interleaved transitions, the exact call pattern of the segment
-        engine's serving-set kernel path.
+        Gather windows (unique values + inverse) with a few interleaved
+        transitions, the exact call pattern of the two-phase replay,
+        must settle to the per-second ``set_power`` totals bit for bit.
         """
         n_windows = data.draw(st.integers(1, 4))
         scalar = EnergyMeter()
@@ -279,6 +296,7 @@ class TestDeferredLedgerProperty:
         for meter in (scalar, deferred):
             meter.set_power("m", 17.5, 0.0)
         t = data.draw(st.integers(1, 50))
+        journal = []
         for _ in range(n_windows):
             n = data.draw(st.integers(1, 30))
             powers = np.array(
@@ -292,14 +310,14 @@ class TestDeferredLedgerProperty:
             )
             for k, p in enumerate(powers):
                 scalar.set_power("m", float(p), t + k)
-            uniq, inverse = np.unique(powers, return_inverse=True)
-            deferred.record_gather("m", uniq, inverse, t)
+            journal.append(("m", powers, t))
             t += n
             if data.draw(st.booleans()):  # a transition between windows
                 power = data.draw(st.floats(0.0, 800.0, allow_nan=False))
                 scalar.set_power("m", power, t)
-                deferred.set_power("m", power, t)
+                journal.append(("m", power, t))
                 t += data.draw(st.integers(1, 5))
+        _batch_windows(deferred, journal)
         scalar.finalize(t + 5)
         deferred.finalize(t + 5)
         assert scalar._totals == deferred._totals
@@ -312,8 +330,8 @@ class TestStackedSettleProperty:
     ``_flush_all`` settles every pending stream through one stacked 2-D
     cumsum (or a buffer-reusing ragged fallback); the property pins it
     bitwise against the per-machine ``_flush`` chain under interleaved
-    ``record_gather`` windows, eager ``record_series`` writes and scalar
-    transitions across several machines.
+    gather windows and scalar transitions across several machines,
+    journaled through ``record_batch_windows``.
     """
 
     @settings(max_examples=30, deadline=None)
@@ -328,17 +346,15 @@ class TestStackedSettleProperty:
             for meter in (stacked, separate):
                 meter.set_power(mid, 10.0 + i, 0.0)
             t[mid] = 0
+        journal = []
         n_ops = data.draw(st.integers(3, 12))
         for _ in range(n_ops):
             mid = data.draw(st.sampled_from(mids))
-            kind = data.draw(
-                st.sampled_from(["gather", "series", "transition"])
-            )
+            kind = data.draw(st.sampled_from(["window", "transition"]))
             t0 = t[mid] + data.draw(st.integers(1, 4))
             if kind == "transition":
                 power = data.draw(st.floats(0.0, 800.0, allow_nan=False))
-                for meter in (stacked, separate):
-                    meter.set_power(mid, power, t0)
+                journal.append((mid, power, t0))
                 t[mid] = t0
                 continue
             n = data.draw(st.integers(1, 25))
@@ -351,14 +367,10 @@ class TestStackedSettleProperty:
                     )
                 )
             )
-            if kind == "gather":
-                uniq, inverse = np.unique(powers, return_inverse=True)
-                for meter in (stacked, separate):
-                    meter.record_gather(mid, uniq, inverse, t0)
-            else:  # eager record_series mixed into the same streams
-                for meter in (stacked, separate):
-                    meter.record_series(mid, powers, t0)
+            journal.append((mid, powers, t0))
             t[mid] = t0 + n - 1
+        for meter in (stacked, separate):
+            _batch_windows(meter, journal)
         end = max(t.values()) + 5
         # One meter settles machine-by-machine through the scalar-chain
         # flush; the other goes through the stacked multi-machine path.
@@ -391,30 +403,23 @@ def _captured_set_power_run(replay, engine):
 class TestReconfigSchedule:
     """PR 9: the batched reconfiguration schedule.
 
-    The two-phase engine precomputes every reconfiguration
-    (``_reconfig_schedule``) and executes the entries through the real
-    FSM (``_start_scheduled``); the segment engine decides the same
-    reconfigurations one at a time from inside its walk.  The schedule
+    The two-phase engine resolves every reconfiguration up front with
+    the shared decision walk and executes the entries through the real
+    FSM (``_start_scheduled``); the reference engine decides them one
+    second at a time and reads its durations off the FSM.  The schedule
     is correct iff both produce the identical ``Reconfiguration`` log
-    and the identical machine-transition stream — the ``set_power``
-    tuples that land in the two-phase journal.
+    and identical per-machine ledgers.
     """
 
-    def _assert_schedule_matches_walk(self, infra, trace, spec):
-        table = infra.table(3000.0)
-
-        def build():
-            return EventDrivenReplay(
-                table, trace,
-                predictor=LookAheadMaxPredictor(200), app_spec=spec,
-            )
-
-        fsm, fsm_calls = _captured_set_power_run(build(), "segments")
-        two, two_calls = _captured_set_power_run(build(), "twophase")
-        assert two_calls == fsm_calls
-        assert len(two.reconfigurations) == len(fsm.reconfigurations)
-        for a, b in zip(two.reconfigurations, fsm.reconfigurations):
-            assert a == b  # every field, including boot/off durations
+    def _assert_schedule_matches_reference(self, build):
+        ref_replay = build()
+        ref = ref_replay.run(engine="reference")
+        two_replay = build()
+        two, two_calls = _captured_set_power_run(two_replay, "twophase")
+        # every field, including boot/off durations
+        assert two.reconfigurations == ref.reconfigurations
+        assert two_replay.meter._totals == ref_replay.meter._totals
+        assert two_replay.stats == ref_replay.stats
         # Journal shape: a bare control pass leaves the journal open —
         # marker tokens must be the descriptor indices in order, and the
         # non-marker entries exactly the recorded transition stream.
@@ -432,8 +437,13 @@ class TestReconfigSchedule:
     @settings(max_examples=6, deadline=None)
     @given(stepped_trace(), st.sampled_from([0.5, 0.9]))
     def test_schedule_matches_fsm_under_powercap(self, trace, frac):
-        self._assert_schedule_matches_walk(
-            _capped_infra(frac), trace, ApplicationSpec()
+        table = _capped_infra(frac).table(3000.0)
+        self._assert_schedule_matches_reference(
+            lambda: EventDrivenReplay(
+                table, trace,
+                predictor=LookAheadMaxPredictor(200),
+                app_spec=ApplicationSpec(),
+            )
         )
 
     @settings(max_examples=6, deadline=None)
@@ -445,8 +455,13 @@ class TestReconfigSchedule:
         self, infra, trace, times
     ):
         stop, start = times
-        self._assert_schedule_matches_walk(
-            infra, trace, ApplicationSpec(stop_time=stop, start_time=start)
+        table = infra.table(3000.0)
+        self._assert_schedule_matches_reference(
+            lambda: EventDrivenReplay(
+                table, trace,
+                predictor=LookAheadMaxPredictor(200),
+                app_spec=ApplicationSpec(stop_time=stop, start_time=start),
+            )
         )
 
     @settings(max_examples=6, deadline=None)
@@ -466,19 +481,12 @@ class TestReconfigSchedule:
         outcome = BMLScheduler(
             infra, predictor=predictor, inventory=inventory
         ).plan_detailed(trace)
-
-        def build():
-            return EventDrivenReplay(
+        self._assert_schedule_matches_reference(
+            lambda: EventDrivenReplay(
                 outcome.table, trace,
                 predictor=predictor, inventory=inventory,
             )
-
-        fsm, fsm_calls = _captured_set_power_run(build(), "segments")
-        two, two_calls = _captured_set_power_run(build(), "twophase")
-        assert two_calls == fsm_calls
-        assert len(two.reconfigurations) == len(fsm.reconfigurations)
-        for a, b in zip(two.reconfigurations, fsm.reconfigurations):
-            assert a == b
+        )
 
 
 class TestUniqueInverse:
@@ -541,16 +549,21 @@ class TestWindowedBalancer:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_balance_series_matches_per_second(self, toy_profiles, data):
-        big, little = toy_profiles
-        meter = EnergyMeter()
+        """The serving-set kernel's balance series is per-second
+        ``LoadBalancer.balance`` plus ``idle + slope * load`` draws, bit
+        for bit, with the unique-rate compression on and off."""
+        from repro.sim.loadbalancer import serving_set_kernel
         from repro.sim.machine import Machine, MachineState
 
+        big, little = toy_profiles
+        meter = EnergyMeter()
         machines = []
         for i, prof in enumerate([big, little, little]):
             m = Machine(machine_id=f"m{i}", profile=prof, meter=meter)
             m.state = MachineState.ON
             machines.append(m)
         strategy = data.draw(st.sampled_from(["efficient", "proportional"]))
+        compress = data.draw(st.booleans())
         n = data.draw(st.integers(1, 60))
         rates = np.array(
             data.draw(
@@ -562,37 +575,19 @@ class TestWindowedBalancer:
             )
         )
         lb = LoadBalancer(strategy)
-        window = lb.balance_series(rates, machines)
+        window = serving_set_kernel(strategy, machines).evaluate(
+            rates, compress=compress
+        )
+        unserved = window.gather(window.unserved)
+        loads = [window.gather(col) for col in window.loads]
+        draws = [window.gather(col) for col in window.draws]
         for k, rate in enumerate(rates):
             scalar = lb.balance(float(rate), machines)
-            assert scalar.unserved == window.unserved[k]
-            for m in machines:
-                assert scalar.shares[m.machine_id] == window.loads[m.machine_id][k]
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_record_series_matches_per_second_set_power(self, data):
-        n = data.draw(st.integers(1, 50))
-        powers = np.array(
-            data.draw(
-                st.lists(
-                    st.floats(0.0, 500.0, allow_nan=False),
-                    min_size=n,
-                    max_size=n,
+            assert scalar.unserved == unserved[k]
+            for i, m in enumerate(machines):
+                share = scalar.shares[m.machine_id]
+                assert share == loads[i][k]
+                assert (
+                    m.profile.idle_power + m.profile.slope * share
+                    == draws[i][k]
                 )
-            )
-        )
-        t0 = data.draw(st.integers(0, 1000))
-        scalar = EnergyMeter()
-        scalar.set_power("m", 17.5, 0.0)
-        for k, p in enumerate(powers):
-            scalar.set_power("m", float(p), t0 + k)
-        batched = EnergyMeter()
-        batched.set_power("m", 17.5, 0.0)
-        batched.record_series("m", powers, t0)
-        assert scalar._totals == batched._totals
-        assert scalar._power_now == batched._power_now
-        assert float(scalar._since["m"]) == float(batched._since["m"])
-        scalar.finalize(t0 + n + 5)
-        batched.finalize(t0 + n + 5)
-        assert scalar.total_energy == batched.total_energy

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from repro.core.combination import Combination
 from repro.core.prediction import LookAheadMaxPredictor
 from repro.core.profiles import TABLE_I
-from repro.core.reconfiguration import build_plan, reconfiguration_window
+from repro.core.reconfiguration import build_plan, transition
 from repro.core.scheduler import (
     BMLScheduler,
     ScheduleOutcome,
@@ -108,10 +108,10 @@ def _plan_reference(sched: BMLScheduler, trace: LoadTrace) -> ScheduleOutcome:
             t = td + 1
             continue
         decisions.append((td, target))
-        boot, off = reconfiguration_window(current, target)
+        tr = transition(current, target)
         current = target
         cur_id = cid[td]
-        t = td + max(boot + off, 1)
+        t = td + max(tr.boot_duration + tr.off_duration, 1)
     return ScheduleOutcome(
         plan=build_plan(horizon, initial, decisions), predictions=pred, table=table
     )

@@ -153,5 +153,6 @@ def test_memory_is_bounded_by_window_not_feed_length(serve_table):
     after_long = engine.state_nbytes()
     assert after_long == after_short  # state is O(window), not O(feed)
     assert len(engine.state_dict()["tail"]) == WINDOW - 1
-    # The delta memo is bounded by distinct transition pairs, not time.
-    assert len(engine._delta_memo) <= len(serve_table.counts_array) ** 2
+    # The walk's transition memo is bounded by distinct transition
+    # pairs, not time.
+    assert len(engine._walk.memo) <= len(serve_table.counts_array) ** 2

@@ -136,6 +136,24 @@ class TestRunStore:
         with np.load(run_dir / "series.npz") as npz:
             assert npz["per_day_energy_j"].dtype == np.float64
 
+    def test_record_of_a_deleted_engine_still_loads(self, tmp_path, bml_run):
+        """Specs are stored as dicts: a record saved with the deleted
+        ``event-segments`` engine loads, only the live spec refuses."""
+        from repro.scenarios import ScenarioError
+
+        store = RunStore(tmp_path)
+        run_id = store.save(bml_run)
+        path = tmp_path / run_id / "result.json"
+        data = json.loads(path.read_text())
+        data["spec"]["engine"] = "event-segments"
+        data["provenance"]["engine"] = "event-segments"
+        path.write_text(json.dumps(data))
+        back = store.load(run_id)
+        assert back.spec["engine"] == "event-segments"
+        assert back.metrics() == bml_run.to_record().metrics()
+        with pytest.raises(ScenarioError, match="engine"):
+            back.load_spec()
+
 
 class TestPrune:
     """PR 5 retention policy: keep each scenario's newest N runs."""

@@ -63,6 +63,39 @@ class TestBatchIdentity:
         assert len(decisions) == len(batch_reconfigs)
 
 
+class TestInputValidation:
+    """``feed`` refuses what :class:`LoadTrace` refuses (negative and
+    non-finite rates), before any state changes."""
+
+    @pytest.mark.parametrize("bad", [-3.0, float("nan"), np.inf, -np.inf])
+    def test_bad_sample_refused_without_touching_state(
+        self, serve_table, serve_values, bad
+    ):
+        engine = StreamingProvisioner(serve_table, window=WINDOW)
+        decisions = engine.feed(serve_values[:500])
+        before = json.dumps(engine.state_dict())
+        chunk = np.array(serve_values[500:520])
+        chunk[7] = bad
+        with pytest.raises(ValueError, match="sample 507"):
+            engine.feed(chunk)
+        assert json.dumps(engine.state_dict()) == before
+        # the valid samples still stream exactly like a fresh engine's
+        decisions += engine.feed(serve_values[500:])
+        decisions += engine.finalize()
+        fresh = StreamingProvisioner(serve_table, window=WINDOW)
+        expected = fresh.feed(serve_values) + fresh.finalize()
+        assert [d.to_payload() for d in decisions] == [
+            d.to_payload() for d in expected
+        ]
+
+    def test_batch_rejected_feed_emits_nothing(self, serve_table):
+        engine = StreamingProvisioner(serve_table, window=10)
+        assert engine.feed([5.0] * 20) == []
+        with pytest.raises(ValueError, match="sample 20"):
+            engine.feed([-3.0] * 20 + [float("nan")] * 5 + [100.0] * 30)
+        assert engine.samples_in == 20 and engine.decisions_out == 0
+
+
 class TestCheckpointing:
     def test_state_round_trips_through_json_mid_stream(
         self, serve_table, serve_values, batch_payloads

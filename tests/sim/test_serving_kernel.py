@@ -3,8 +3,8 @@
 The composite kernel collapses a steady segment's balance/draw chain to
 a handful of vector ops over the window's unique rates; the deferred
 ledger buffers per-machine contributions and settles them in one cumsum
-pass.  Both must reproduce the eager PR 2 kernels bit-for-bit, and the
-kernel LRU must behave like the repo's other telemetry caches
+pass.  Both must reproduce the per-second scalar chain bit-for-bit, and
+the kernel LRU must behave like the repo's other telemetry caches
 (eviction, hit/miss counters, cross-segment and cross-replay reuse).
 """
 
@@ -36,7 +36,7 @@ def machines(toy_profiles):
 
 
 class TestKernelEquivalence:
-    """kernel.evaluate == balance_series + draws, bit for bit."""
+    """kernel.evaluate == per-second LoadBalancer.balance + draws, bit for bit."""
 
     @pytest.mark.parametrize("strategy", ["efficient", "proportional"])
     @pytest.mark.parametrize("compress", [True, False])
@@ -44,52 +44,19 @@ class TestKernelEquivalence:
         rng = np.random.default_rng(7)
         rates = np.round(rng.uniform(0.0, 150.0, size=200), 1)  # repeats
         lb = LoadBalancer(strategy)
-        reference = lb.balance_series(rates, machines)
         kernel = serving_set_kernel(strategy, machines)
         window = kernel.evaluate(rates, compress=compress)
+        scalar = [lb.balance(float(r), machines) for r in rates]
         assert np.array_equal(
-            window.gather(window.unserved), reference.unserved
+            window.gather(window.unserved), [a.unserved for a in scalar]
         )
         for i, m in enumerate(machines):
+            shares = np.array([a.shares[m.machine_id] for a in scalar])
+            assert np.array_equal(window.gather(window.loads[i]), shares)
             assert np.array_equal(
-                window.gather(window.loads[i]), reference.loads[m.machine_id]
+                window.gather(window.draws[i]),
+                m.profile.idle_power + m.profile.slope * shares,
             )
-            expected_draw = (
-                m.profile.idle_power
-                + m.profile.slope * reference.loads[m.machine_id]
-            )
-            assert np.array_equal(
-                window.draw_series(m.machine_id), expected_draw
-            )
-            assert np.array_equal(
-                window.load_series(m.machine_id),
-                reference.loads[m.machine_id],
-            )
-
-    def test_small_scalar_path_matches_vector(self, machines):
-        rng = np.random.default_rng(11)
-        rates = rng.uniform(0.0, 200.0, size=13)
-        kernel = serving_set_kernel("efficient", machines)
-        window = kernel.evaluate(rates)
-        loads, draws, unserved = kernel.evaluate_small(rates)
-        assert np.array_equal(np.asarray(unserved), window.gather(window.unserved))
-        for i in range(len(machines)):
-            assert np.array_equal(
-                np.asarray(loads[i]), window.gather(window.loads[i])
-            )
-            assert np.array_equal(
-                np.asarray(draws[i]), window.gather(window.draws[i])
-            )
-
-    def test_materialise_draws_shapes_like_apply_series(self, machines):
-        rates = np.linspace(0.0, 120.0, 40)
-        lb = LoadBalancer("efficient")
-        eager = lb.apply_series(rates, machines, t_start=0)
-        kernel = serving_set_kernel("efficient", machines)
-        lazy = kernel.evaluate(rates).materialise_draws()
-        assert set(lazy) == set(eager.draws)
-        for machine_id, series in eager.draws.items():
-            assert np.array_equal(lazy[machine_id], series)
 
     def test_negative_rates_rejected_unless_prevalidated(self, machines):
         kernel = serving_set_kernel("efficient", machines)
@@ -160,62 +127,73 @@ class TestKernelCache:
 
 
 class TestDeferredLedger:
-    """record_gather == the eager record_series/set_power sequence."""
+    """Pending streams built by record_batch_windows, the two-phase
+    replay's journal settle: lazy flushing and its guards."""
 
-    def _eager_and_deferred(self):
-        eager, deferred = EnergyMeter(), EnergyMeter()
-        for m in (eager, deferred):
+    @staticmethod
+    def _settle_windows(meter, windows):
+        """Journal ``(powers, t_start)`` windows of machine ``m`` and
+        settle them into pending streams."""
+        meter.begin_batch()
+        for j in range(len(windows)):
+            meter.batch_mark(j)
+
+        def resolve(j):
+            powers, t0 = windows[j]
+            return ("m",), (powers,), None, 0, len(powers), t0
+
+        meter.record_batch_windows(resolve)
+
+    def _scalar_and_deferred(self):
+        scalar, deferred = EnergyMeter(), EnergyMeter()
+        for m in (scalar, deferred):
             m.set_power("m", 12.5, 0.0)
-        return eager, deferred
+        return scalar, deferred
 
-    def test_contiguous_windows_match_record_series(self):
-        rng = np.random.default_rng(3)
-        eager, deferred = self._eager_and_deferred()
-        t = 10
-        for n in (5, 1, 17, 3):
-            powers = rng.uniform(0.0, 400.0, size=n)
-            uniq, inv = np.unique(powers, return_inverse=True)
-            eager.record_series("m", powers, t)
-            deferred.record_gather("m", uniq, inv, t)
-            t += n
-        eager.finalize(t + 2)
-        deferred.finalize(t + 2)
-        assert eager._totals == deferred._totals
-        assert eager.total_energy == deferred.total_energy
+    @staticmethod
+    def _per_second(meter, powers, t0):
+        for k, p in enumerate(powers):
+            meter.set_power("m", float(p), t0 + k)
 
     def test_set_power_interleaves_without_flush(self):
-        eager, deferred = self._eager_and_deferred()
+        scalar, deferred = self._scalar_and_deferred()
         powers = np.array([10.0, 20.0, 30.0])
-        eager.record_series("m", powers, 5)
-        deferred.record_gather("m", powers, None, 5)
+        self._per_second(scalar, powers, 5)
+        self._settle_windows(deferred, [(powers, 5)])
         # a transition at a fractional time closes the open second
-        for m in (eager, deferred):
+        for m in (scalar, deferred):
             m.set_power("m", 99.0, 8.75)
         assert deferred._pending  # still buffered, not settled
-        eager.record_series("m", powers * 2, 12)
-        deferred.record_gather("m", powers * 2, None, 12)
-        eager.finalize(20.0)
+        self._per_second(scalar, powers * 2, 12)
+        self._settle_windows(deferred, [(powers * 2, 12)])
+        scalar.finalize(20.0)
         deferred.finalize(20.0)
-        assert eager._totals == deferred._totals
+        assert scalar._totals == deferred._totals
 
     def test_queries_flush_on_demand(self):
-        eager, deferred = self._eager_and_deferred()
+        scalar, deferred = self._scalar_and_deferred()
         powers = np.array([50.0, 60.0])
-        eager.record_series("m", powers, 2)
-        deferred.record_gather("m", powers, None, 2)
-        assert deferred.energy_of("m") == eager.energy_of("m")
-        assert deferred.total_energy == eager.total_energy
+        self._per_second(scalar, powers, 2)
+        self._settle_windows(deferred, [(powers, 2)])
+        assert deferred._pending
+        assert deferred.energy_of("m") == scalar.energy_of("m")
+        assert not deferred._pending
+        self._settle_windows(deferred, [(powers, 4)])
+        self._per_second(scalar, powers, 4)
+        assert deferred._pending
+        assert deferred.total_energy == scalar.total_energy
+        assert not deferred._pending
 
     def test_empty_window_is_a_no_op(self):
         meter = EnergyMeter()
         meter.set_power("m", 5.0, 0.0)
-        meter.record_gather("m", np.array([]), None, 3)
+        self._settle_windows(meter, [(np.array([]), 3)])
         meter.finalize(4.0)
         assert meter.energy_of("m") == 5.0 * 4.0
 
     def test_time_going_backwards_rejected(self):
         meter = EnergyMeter()
         meter.set_power("m", 5.0, 0.0)
-        meter.record_gather("m", np.array([1.0, 2.0]), None, 10)
-        with pytest.raises(ValueError):
-            meter.record_gather("m", np.array([1.0]), None, 3)
+        self._settle_windows(meter, [(np.array([1.0, 2.0]), 10)])
+        with pytest.raises(ValueError, match="backwards"):
+            self._settle_windows(meter, [(np.array([1.0]), 3)])

@@ -391,7 +391,7 @@ class TestEngineFlag:
             main(
                 [
                     "scenario", "run", "paper-bml", "paper-lower-bound",
-                    "--days", "1", "--engine", "segments", "--stats",
+                    "--days", "1", "--engine", "twophase", "--stats",
                 ]
             )
             == 0

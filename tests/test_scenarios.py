@@ -455,13 +455,10 @@ class TestEngines:
         spec = scenarios.get("event-engine-day").with_days(1)
         runs = {
             engine: scenarios.run_scenario(replace(spec, engine=engine))
-            for engine in (
-                "event", "event-twophase", "event-segments", "event-reference",
-            )
+            for engine in ("event", "event-twophase", "event-reference")
         }
         assert runs["event"].result.meta["engine"] == "twophase"
         assert runs["event-twophase"].result.meta["engine"] == "twophase"
-        assert runs["event-segments"].result.meta["engine"] == "segments"
         assert runs["event-reference"].result.meta["engine"] == "reference"
         ref = runs["event-reference"].result
         for name, run in runs.items():
