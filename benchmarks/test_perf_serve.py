@@ -7,6 +7,9 @@ designed cost — it IS the durability guarantee), and a full crash-free
 day streamed second by second, plus a multi-day backlog fed at once.
 The per-boundary latency is what bounds how fast a live feed can be
 followed; a regression here turns a 1 Hz daemon into a backlog machine.
+Two more time the daemon's own poll path: the feed parser over a
+backlog, and a whole day through ``ServeDaemon`` with its journal,
+checkpoints and health heartbeat.
 """
 
 from __future__ import annotations
@@ -16,7 +19,15 @@ import pytest
 
 from repro.core.bml import design
 from repro.core.profiles import table_i_profiles
-from repro.serve import DecisionJournal, StreamingProvisioner
+from repro.serve import (
+    DecisionJournal,
+    ServeConfig,
+    ServeDaemon,
+    StreamingProvisioner,
+    TailFileSource,
+    append_feed,
+)
+from repro.serve.daemon import JOURNAL_FILE
 from repro.serve.journal import encode_record
 from repro.workload.worldcup import WorldCupSynthesizer
 
@@ -102,6 +113,69 @@ def test_perf_serve_backlog(benchmark, serve_table, serve_backlog):
     for pos in range(0, len(serve_backlog), 60):
         expected += chunked.feed(serve_backlog[pos : pos + 60])
     assert decisions and decisions == expected
+
+
+@pytest.mark.benchmark(group="perf-serve")
+def test_perf_serve_tail_backlog(benchmark, tmp_path, serve_backlog):
+    """A daemon resuming on a backlog: one ``TailFileSource.poll`` parses
+    8 days of feed lines (691 200 records)."""
+    feed = tmp_path / "feed.txt"
+    append_feed(feed, serve_backlog)
+
+    def fresh():
+        return (TailFileSource(feed),), {}
+
+    chunk = benchmark.pedantic(TailFileSource.poll, setup=fresh, rounds=3)
+    assert chunk.samples == [float(f"{v:.6f}") for v in serve_backlog]
+    assert not chunk.rejected and not chunk.finished
+
+
+class _ClosedLoop:
+    """Appends the next 60-sample chunk (then ``END``) before each poll."""
+
+    def __init__(self, feed, values):
+        self.inner = TailFileSource(feed)
+        self.feed = feed
+        self.chunks = iter(
+            [values[i : i + 60] for i in range(0, len(values), 60)]
+        )
+        self.ended = False
+
+    def state(self):
+        return self.inner.state()
+
+    def poll(self):
+        chunk = next(self.chunks, None)
+        if chunk is not None:
+            append_feed(self.feed, chunk)
+        elif not self.ended:
+            append_feed(self.feed, [], end=True)
+            self.ended = True
+        return self.inner.poll()
+
+
+@pytest.mark.benchmark(group="perf-serve")
+def test_perf_serve_daemon_day(benchmark, tmp_path, serve_table, serve_day):
+    """One day through the daemon, a 60-sample chunk per poll: parse,
+    decide, journal (fsync'd), checkpoint, health heartbeat."""
+    daemons = []
+
+    def fresh():
+        run = tmp_path / f"run-{len(daemons)}"
+        config = ServeConfig(
+            feed=run / "feed.txt", state_dir=run / "state", max_rate=3100.0
+        )
+        source = _ClosedLoop(config.feed, serve_day)
+        daemons.append(ServeDaemon(config, table=serve_table, source=source))
+        return (daemons[-1],), {}
+
+    assert benchmark.pedantic(ServeDaemon.run, setup=fresh, rounds=3) == "done"
+    daemon = daemons[-1]
+    engine = StreamingProvisioner(serve_table, window=daemon.config.window)
+    batch = [d.to_payload() for d in engine.feed(serve_day) + engine.finalize()]
+    with DecisionJournal(daemon.state_dir / JOURNAL_FILE) as journal:
+        assert journal.payloads() == batch
+    assert daemon.rejected == 0 and daemon.engine.samples_in == len(serve_day)
 
 
 @pytest.mark.benchmark(group="perf-serve")

@@ -30,7 +30,13 @@ Failure model:
 
 Health is a heartbeat JSON file next to the journal (``repro serve
 --status`` reads it): status, generation, counters, and the most recent
-events.
+events.  It is written at once at run start, on every event (a status
+change or a rejected record) and at the terminal state.  Progress alone
+(samples the file does not count yet) is written by the first poll at
+least ``_HEARTBEAT_S`` after the last write.  A live 1 Hz feed polled
+every 50 ms still gets about one write a second; a daemon catching up
+on a backlog no longer rewrites and renames the file on every poll,
+and ``--status`` may trail it by up to a second.
 """
 
 from __future__ import annotations
@@ -54,6 +60,10 @@ __all__ = ["ServeConfig", "ServeDaemon", "ServeError", "read_health"]
 JOURNAL_FILE = "journal.bin"
 HEALTH_FILE = "health.json"
 _MAX_EVENTS = 20
+#: Seconds between health writes for polls that only made progress.
+_HEARTBEAT_S = 1.0
+#: The daemon's clock: stall timeout and heartbeat cadence.
+_clock = time.monotonic
 
 
 class ServeError(RuntimeError):
@@ -138,6 +148,11 @@ class ServeDaemon:
         self.generation = 0
         self.rejected = 0
         self._events: List[str] = []
+        # What the health file last said: when, how many samples in,
+        # and whether an event has happened since.
+        self._health_at = 0.0
+        self._health_samples = 0
+        self._event_unwritten = False
         self._status = "starting"
         self._stop_signum: Optional[int] = None
         self._samples_since_ckpt = 0
@@ -204,8 +219,9 @@ class ServeDaemon:
     def _event(self, message: str) -> None:
         self._events.append(message)
         del self._events[:-_MAX_EVENTS]
+        self._event_unwritten = True
 
-    def _write_health(self) -> None:
+    def _write_health(self, now: float) -> None:
         payload = {
             "name": self.name,
             "pid": os.getpid(),
@@ -222,6 +238,9 @@ class ServeDaemon:
         tmp = self.state_dir / (HEALTH_FILE + ".tmp")
         tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
         os.replace(tmp, self.state_dir / HEALTH_FILE)
+        self._health_at = now
+        self._health_samples = payload["samples_in"]
+        self._event_unwritten = False
 
     # -- persistence --------------------------------------------------------
     def _commit(self, decisions: List[Decision]) -> None:
@@ -274,14 +293,14 @@ class ServeDaemon:
                 previous[sig] = signal.signal(sig, self._handle_signal)
         except ValueError:
             previous = {}  # not the main thread (tests): run unguarded
-        last_data = time.monotonic()
+        now = last_data = _clock()
         stalled = False
         polls = 0
         self._status = "running"
         # A checkpoint exists from the first instant: a crash before the
         # first periodic checkpoint must still leave a resumable base.
         self._checkpoint()
-        self._write_health()
+        self._write_health(now)
         try:
             while True:
                 if self._stop_signum is not None:
@@ -291,15 +310,16 @@ class ServeDaemon:
                         "checkpoint"
                     )
                     self._checkpoint()
-                    self._write_health()
+                    self._write_health(now)
                     return "stopped"
                 chunk = self.source.poll()
+                now = _clock()
                 polls += 1
                 for err in chunk.rejected:
                     self.rejected += 1
                     self._event(f"rejected: {err}")
                 if chunk.samples:
-                    last_data = time.monotonic()
+                    last_data = now
                     if stalled:
                         stalled = False
                         self._status = "running"
@@ -308,7 +328,6 @@ class ServeDaemon:
                     self._samples_since_ckpt += len(chunk.samples)
                     if self._samples_since_ckpt >= self.config.checkpoint_every:
                         self._checkpoint()
-                    self._write_health()
                 if chunk.finished:
                     self._commit(self.engine.finalize())
                     self._status = "done"
@@ -317,10 +336,15 @@ class ServeDaemon:
                         f"{self.journal.count} decisions"
                     )
                     self._checkpoint()
-                    self._write_health()
+                    self._write_health(now)
                     return "done"
+                if self._event_unwritten or (
+                    self.engine.samples_in != self._health_samples
+                    and now - self._health_at >= _HEARTBEAT_S
+                ):
+                    self._write_health(now)
                 if not chunk.samples:
-                    idle_for = time.monotonic() - last_data
+                    idle_for = now - last_data
                     if not stalled and idle_for >= self.config.stall_timeout_s:
                         # Graceful degradation: hold the last plan, say
                         # so once, keep listening.
@@ -331,19 +355,19 @@ class ServeDaemon:
                             "last plan"
                         )
                         self._checkpoint()
-                        self._write_health()
+                        self._write_health(now)
                     if max_polls is not None and polls >= max_polls:
                         self._status = "stopped"
                         self._event(f"poll budget ({max_polls}) exhausted")
                         self._checkpoint()
-                        self._write_health()
+                        self._write_health(now)
                         return "stopped"
                     time.sleep(self.config.poll_s)
                 elif max_polls is not None and polls >= max_polls:
                     self._status = "stopped"
                     self._event(f"poll budget ({max_polls}) exhausted")
                     self._checkpoint()
-                    self._write_health()
+                    self._write_health(now)
                     return "stopped"
         finally:
             self.journal.close()

@@ -13,7 +13,10 @@ write in progress — wait, don't guess), and degrades typed on malformed
 complete lines: each bad record becomes a
 :class:`~repro.workload.trace.TraceIngestError` carrying the feed path,
 line number and byte offset, returned to the caller rather than raised,
-so one corrupt record never stops the stream.
+so one corrupt record never stops the stream.  Each complete line is
+first handed to ``float()`` as bytes; only lines it refuses, and
+negative or non-finite values, take the decode-strip-check path (see
+:meth:`TailFileSource.poll` for why both paths agree).
 
 :class:`MemorySource` replays a pre-chunked sample list — the property
 tests' deterministic stand-in.
@@ -25,6 +28,8 @@ serve smoke and the README quickstart); it honours the
 
 from __future__ import annotations
 
+import io
+import math
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -62,29 +67,39 @@ class FeedChunk:
         return bool(self.samples or self.rejected or self.finished)
 
 
+#: How many characters of a rejected line its error message quotes.
+_QUOTE_CHARS = 64
+
+
+def _quote(text: str, nbytes: int) -> str:
+    """``text`` quoted for an error message, cut to ``_QUOTE_CHARS``."""
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_CHARS]!r}... ({nbytes}-byte line)"
+
+
 def _parse_line(
-    raw: str, path: Path, line_no: int, offset: int
+    text: str, nbytes: int, path: Path, line_no: int, offset: int
 ) -> Tuple[Optional[float], Optional[TraceIngestError]]:
-    """One complete feed line -> (sample, None) | (None, typed error) |
-    (None, None) for skippable lines."""
-    text = raw.strip()
+    """One stripped feed line of ``nbytes`` bytes -> (sample, None) |
+    (None, typed error) | (None, None) for skippable lines."""
     if not text or text.startswith("#"):
         return None, None
     try:
         value = float(text)
     except ValueError:
         return None, TraceIngestError(
-            f"{path}: malformed feed record {text!r} "
+            f"{path}: malformed feed record {_quote(text, nbytes)} "
             f"(line {line_no}, byte offset {offset})"
         )
     if not (value == value) or value in (float("inf"), float("-inf")):
         return None, TraceIngestError(
-            f"{path}: non-finite rate {text!r} "
+            f"{path}: non-finite rate {_quote(text, nbytes)} "
             f"(line {line_no}, byte offset {offset})"
         )
     if value < 0:
         return None, TraceIngestError(
-            f"{path}: negative rate {text!r} "
+            f"{path}: negative rate {_quote(text, nbytes)} "
             f"(line {line_no}, byte offset {offset})"
         )
     return value, None
@@ -117,6 +132,16 @@ class TailFileSource:
         the offset only ever advances past complete lines.  A feed file
         shrinking below the offset is a producer bug the daemon cannot
         reason about — typed, raised.
+
+        Each line's bytes go to ``float()`` first, and a value in
+        ``[0, inf)`` is kept as is.  That is exact: ``float()`` on bytes
+        accepts only ASCII syntax and strips only ASCII whitespace,
+        which ``str.strip()`` removes too, so an accepted line decodes
+        and strips to the text the slow path would parse to the same
+        float.  Everything else — comments, blanks, ``END``, non-ASCII
+        digits or spaces, malformed, negative or non-finite records —
+        takes the slow path: decode, strip, check ``END``, then
+        :func:`_parse_line`.
         """
         poll_index = self._polls
         self._polls += 1
@@ -138,27 +163,39 @@ class TailFileSource:
         with open(self.path, "rb") as fh:
             fh.seek(self.offset)
             data = fh.read(size - self.offset)
+        # An incomplete trailing record waits for its newline.
+        end = data.rfind(b"\n") + 1
+        if not end:
+            return FeedChunk([], [], False)
         samples: List[float] = []
         rejected: List[TraceIngestError] = []
-        pos = 0
-        while True:
-            nl = data.find(b"\n", pos)
-            if nl < 0:
-                break  # incomplete trailing record: wait for its newline
-            raw = data[pos:nl].decode("utf-8", errors="replace")
-            line_offset = self.offset + pos
-            pos = nl + 1
-            self.line_no += 1
-            if raw.strip() == END_SENTINEL:
+        keep = samples.append
+        inf = math.inf
+        lines = io.BytesIO(data[:end])
+        for line_no, line in enumerate(lines, self.line_no + 1):
+            try:
+                value = float(line)
+                if 0.0 <= value < inf:
+                    keep(value)
+                    continue
+            except ValueError:
+                pass
+            text = line[:-1].decode("utf-8", errors="replace").strip()
+            if text == END_SENTINEL:
                 self.finished = True
-                self.offset += pos
+                self.line_no = line_no
+                self.offset += lines.tell()
                 return FeedChunk(samples, rejected, True)
-            value, err = _parse_line(raw, self.path, self.line_no, line_offset)
+            line_offset = self.offset + lines.tell() - len(line)
+            value, err = _parse_line(
+                text, len(line) - 1, self.path, line_no, line_offset
+            )
             if err is not None:
                 rejected.append(err)
             elif value is not None:
-                samples.append(value)
-        self.offset += pos
+                keep(value)
+        self.line_no = line_no
+        self.offset += end
         return FeedChunk(samples, rejected, False)
 
 

@@ -12,15 +12,20 @@ import pytest
 
 from repro.cli import main
 from repro.serve import (
+    DecisionJournal,
+    FeedChunk,
     ServeConfig,
     ServeDaemon,
     ServeError,
     MemorySource,
+    StreamingProvisioner,
     TailFileSource,
     append_feed,
     read_health,
 )
-from repro.serve.daemon import JOURNAL_FILE
+from repro.serve import daemon as daemon_module
+from repro.serve.daemon import HEALTH_FILE, JOURNAL_FILE
+from repro.workload.trace import TraceIngestError
 
 from serve_testlib import WINDOW
 
@@ -178,6 +183,186 @@ class TestHealth:
         assert read_health(tmp_path) is None
         (tmp_path / "health.json").write_text('{"status": "runn')
         assert read_health(tmp_path) is None
+
+    def test_reject_only_poll_writes_health_at_once(self, tmp_path, serve_table):
+        """A poll that only rejects a line must not leave health stale."""
+        config = _config(tmp_path)
+
+        def garbage():
+            with open(config.feed, "a") as fh:
+                fh.write("garbage\n")
+
+        script = [
+            lambda: append_feed(config.feed, [100.0] * 60),
+            garbage,
+            lambda: None,
+            lambda: None,
+            lambda: append_feed(config.feed, [], end=True),
+        ]
+        seen = []
+
+        class Observed:
+            """Reads the health file, then runs the producer, then polls."""
+
+            def __init__(self):
+                self.inner = TailFileSource(config.feed, name=config.name)
+
+            def state(self):
+                return self.inner.state()
+
+            def poll(self):
+                seen.append(read_health(config.state_dir)["rejected"])
+                if len(seen) <= len(script):
+                    script[len(seen) - 1]()
+                return self.inner.poll()
+
+        daemon = ServeDaemon(config, table=serve_table, source=Observed())
+        assert daemon.run() == "done"
+        # Health read before polls 1-5: the reject lands on poll 2, so
+        # polls 3 and 4 (which bring nothing) must already see it.
+        assert seen == [0, 0, 1, 1, 1]
+
+    def test_long_malformed_line_keeps_health_small(self, tmp_path, serve_table):
+        config = _config(tmp_path)
+        append_feed(config.feed, [100.0] * 10)
+        offset = config.feed.stat().st_size
+        with open(config.feed, "a") as fh:
+            fh.write("x" * 1_000_000 + "\n")
+        append_feed(config.feed, [100.0] * 10, end=True)
+        daemon = ServeDaemon(config, table=serve_table)
+        assert daemon.run() == "done"
+        assert daemon.rejected == 1
+        assert (config.state_dir / HEALTH_FILE).stat().st_size < 8 * 1024
+        events = read_health(config.state_dir)["events"]
+        (reject,) = [e for e in events if e.startswith("rejected")]
+        assert "line 11" in reject and f"byte offset {offset}" in reject
+        assert str(config.feed) in reject and "1000000-byte line" in reject
+
+
+class _FakeClock:
+    """A monotonic clock that advances a fixed step on every read."""
+
+    def __init__(self, step):
+        self.step = step
+        self.now = 1000.0
+
+    def __call__(self):
+        self.now += self.step
+        return self.now
+
+
+class _ScriptedSource:
+    """One scripted poll result per poll: samples, a reject or nothing."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.polls = 0
+
+    def state(self):
+        return {"offset": self.polls, "line_no": self.polls}
+
+    def poll(self):
+        self.polls += 1
+        if self.polls > len(self.script):
+            return FeedChunk([], [], True)
+        return self.script[self.polls - 1]
+
+
+class TestHeartbeat:
+    """Health cadence on a fake clock: events write at once, progress
+    alone at most once per ``_HEARTBEAT_S`` of clock time."""
+
+    # Steps exact in binary, so a heartbeat is a whole number of reads.
+    @pytest.mark.parametrize("step", [0.0625, 0.25])
+    def test_cadence_follows_clock_not_polls(
+        self, tmp_path, monkeypatch, serve_table, day_trace, step
+    ):
+        clock = _FakeClock(step)
+        monkeypatch.setattr(daemon_module, "_clock", clock)
+        values = [float(v) for v in day_trace.values]
+        chunks = [values[i : i + 60] for i in range(0, len(values), 60)]
+        reject_poll, stall_poll = 300, 700
+        idle_polls = int(2.0 / step) + 3  # crosses the 2 s stall timeout
+        script = []
+        for i, chunk in enumerate(chunks):
+            if i == reject_poll:
+                error = TraceIngestError("feed: malformed feed record 'x'")
+                script.append(FeedChunk([], [error], False))
+            if i == stall_poll:
+                script += [FeedChunk([], [], False)] * idle_polls
+            script.append(FeedChunk(chunk, [], False))
+        source = _ScriptedSource(script)
+        config = _config(
+            tmp_path, window=378, poll_s=0.0, stall_timeout_s=2.0,
+        )
+        daemon = ServeDaemon(config, table=serve_table, source=source)
+        writes = []
+        write = daemon._write_health
+
+        def recording_write(now):
+            write(now)
+            writes.append((source.polls, now, read_health(config.state_dir)))
+
+        monkeypatch.setattr(daemon, "_write_health", recording_write)
+        started = clock.now
+        assert daemon.run() == "done"
+        elapsed = clock.now - started
+
+        polls = [p for p, _, _ in writes]
+        health = [h for _, _, h in writes]
+        # At start, before any poll.
+        assert polls[0] == 0 and health[0]["status"] == "running"
+        assert health[0]["samples_in"] == 0
+        # On the reject-only poll itself.
+        i = polls.index(reject_poll + 1)
+        assert health[i]["rejected"] == 1 and health[i - 1]["rejected"] == 0
+        # On each status change: stalled, then running again.
+        statuses = [h["status"] for h in health]
+        stalled = statuses.index("stalled")
+        assert "stalled" not in statuses[stalled + 1 :]
+        resumed = polls[stalled + 1 :].index(stall_poll + idle_polls + 2)
+        resumed += stalled + 1
+        assert statuses[resumed] == "running"
+        assert health[resumed]["events"][-1] == "feed resumed after stall"
+        # At done: the terminal write is the last.
+        assert statuses[-1] == "done" and statuses.count("done") == 1
+
+        # Progress-only writes (no new event, still running) come one
+        # heartbeat of clock time after the previous write, so their
+        # count follows the clock: the same polls at 4x the step make
+        # 4x the writes.
+        gaps = [
+            now - prev_now
+            for (_, prev_now, prev), (_, now, h) in zip(writes, writes[1:])
+            if h["events"] == prev["events"] and h["status"] == "running"
+        ]
+        assert min(gaps) >= daemon_module._HEARTBEAT_S
+        beats = elapsed / daemon_module._HEARTBEAT_S
+        assert beats - 8 <= len(gaps) <= beats
+
+        # The final payload keeps its keys and counters.
+        final = read_health(config.state_dir)
+        assert final == health[-1]
+        assert set(final) == {
+            "name", "pid", "status", "generation", "samples_in",
+            "decisions", "journal_records", "rejected", "feed", "events",
+            "updated_at",
+        }
+        engine = StreamingProvisioner(serve_table, window=378)
+        batch = engine.feed(values) + engine.finalize()
+        with DecisionJournal(config.state_dir / JOURNAL_FILE) as journal:
+            assert journal.payloads() == [d.to_payload() for d in batch]
+        assert final["status"] == "done" and final["generation"] == 0
+        assert final["samples_in"] == len(values) == 86400
+        assert final["decisions"] == final["journal_records"] == len(batch)
+        assert final["rejected"] == 1
+        assert final["events"] == [
+            "rejected: feed: malformed feed record 'x'",
+            health[stalled]["events"][-1],
+            "feed resumed after stall",
+            f"feed complete: 86400 samples, {len(batch)} decisions",
+        ]
+        assert health[stalled]["events"][-1].startswith("feed stalled for")
 
 
 class TestCli:
