@@ -258,17 +258,43 @@ def test_perf_event_replay_twophase_year(benchmark, infra, year_trace):
     assert len(result.power) == len(year_trace)
 
 
-@pytest.fixture(scope="module")
-def diurnal_day_trace():
-    """One diurnal day at 1 Hz with integer rates (control-pass shape)."""
+def _diurnal_trace(days):
+    """``days`` diurnal days at 1 Hz with integer rates."""
     from repro.workload import patterns
     from repro.workload.trace import SECONDS_PER_DAY
 
     base = patterns.diurnal(
-        SECONDS_PER_DAY, low=0.15, high=1.0, peak_hour=15.0
+        days * SECONDS_PER_DAY, low=0.15, high=1.0, peak_hour=15.0
     )
     values = np.round(base * 3000.0)
-    return patterns.make_trace(values, "diurnal-day-synthetic")
+    return patterns.make_trace(values, f"diurnal-{days}d-synthetic")
+
+
+@pytest.fixture(scope="module")
+def diurnal_day_trace():
+    """One diurnal day (control-pass shape; no transition repeats)."""
+    return _diurnal_trace(1)
+
+
+@pytest.fixture(scope="module")
+def diurnal_week_trace():
+    """Seven diurnal days: each day repeats the first one's transitions."""
+    return _diurnal_trace(7)
+
+
+def _bench_control_pass(benchmark, infra, trace):
+    pred = LookAheadMaxPredictor(378)
+    table = infra.table(float(np.max(trace.values)))
+
+    def setup():
+        return (EventDrivenReplay(table, trace, predictor=pred),), {}
+
+    plan = benchmark.pedantic(
+        lambda replay: replay._control_pass(), setup=setup, rounds=5
+    )
+    assert plan.horizon == len(trace)
+    assert plan.descs
+    return plan
 
 
 @pytest.mark.benchmark(group="perf-control")
@@ -279,22 +305,19 @@ def test_perf_control_pass_day(benchmark, infra, diurnal_day_trace):
     journal is left open and no kernel evaluation runs, so this tracks
     exactly the walk the two-phase engine's control phase pays.  The
     prediction-series cache is process-wide, so rounds after the first
-    measure the walk, not the sliding-maximum filter.
+    measure the walk, not the sliding-maximum filter.  One day repeats
+    no reconfiguration episode, so this also guards the cost of looking
+    for repeats on traces that have none.
     """
-    pred = LookAheadMaxPredictor(378)
-    table = infra.table(float(np.max(diurnal_day_trace.values)))
+    _bench_control_pass(benchmark, infra, diurnal_day_trace)
 
-    def setup():
-        return (
-            (EventDrivenReplay(table, diurnal_day_trace, predictor=pred),),
-            {},
-        )
 
-    plan = benchmark.pedantic(
-        lambda replay: replay._control_pass(), setup=setup, rounds=5
-    )
-    assert plan.horizon == len(diurnal_day_trace)
-    assert plan.descs
+@pytest.mark.benchmark(group="perf-control")
+def test_perf_control_pass_week(benchmark, infra, diurnal_week_trace):
+    """Control pass over seven diurnal days, where repeated episodes
+    replay from their per-pass templates instead of the FSM."""
+    plan = _bench_control_pass(benchmark, infra, diurnal_week_trace)
+    assert plan.templated > 0
 
 
 @pytest.mark.benchmark(group="perf-control")

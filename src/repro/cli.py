@@ -444,9 +444,10 @@ def _cmd_combination(args: argparse.Namespace) -> int:
 
 def _replay_stats_rows(results) -> list:
     """Replay-engine telemetry rows for ``--stats`` (scenario, engine,
-    segments, unique serving sets, batch count, and the per-phase
-    wall-time breakdown of the vectorized control plane — blank where
-    an engine does not produce the figure)."""
+    segments, unique serving sets, batch count, reconfiguration episodes
+    replayed from templates, and the per-phase wall-time breakdown of
+    the vectorized control plane — blank where an engine does not
+    produce the figure)."""
     rows = []
     for res in results:
         meta = res.meta
@@ -459,6 +460,7 @@ def _replay_stats_rows(results) -> list:
             "segments": meta.get("segments", ""),
             "serving_sets": meta.get("serving_sets", ""),
             "batches": meta.get("batches", ""),
+            "templated": meta.get("templated_episodes", ""),
         }
         for phase in ("predict", "control", "evaluate", "settle"):
             v = phase_s.get(phase)

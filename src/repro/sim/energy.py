@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from math import copysign
 from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -31,6 +32,10 @@ __all__ = [
 ]
 
 _BreakTable = Tuple[np.ndarray, np.ndarray]
+
+#: Elements per settle block (:meth:`EnergyMeter._fold`): the settle's
+#: only buffer, whatever the trace length.
+_FOLD_BLOCK = 1 << 16
 
 
 class TelemetryLRU:
@@ -151,12 +156,15 @@ class EnergyMeter:
     all.  ``record_batch_windows`` walks the journal in chronological
     order — transitions as ``set_power`` would settle them, markers
     resolved to run-coalesced ``(values, inverse)`` gathers of the
-    per-second powers — into per-machine *pending* streams, settled in
-    **one** ``np.cumsum`` pass per machine when something needs the
-    totals (:meth:`finalize` or an energy query).  A ``set_power`` on a
-    machine with a pending stream appends its closing term to the
-    stream.  The cumsum's left-to-right order replays the per-second
-    ``set_power`` chain float-for-float, so totals stay bit-identical.
+    per-second powers — into per-machine *pending* streams, settled
+    when something needs the totals (:meth:`finalize` or an energy
+    query) by a **block fold** per machine: ``np.cumsum`` over
+    fixed-size blocks, each carrying the running total in its first
+    element (:meth:`_fold`), so no buffer grows with the trace.  A
+    ``set_power`` on a machine with a pending stream appends its closing
+    term to the stream.  The cumsum's left-to-right order replays the
+    per-second ``set_power`` chain float-for-float, so totals stay
+    bit-identical.
     """
 
     _totals: Dict[str, float] = field(default_factory=dict)
@@ -165,7 +173,8 @@ class EnergyMeter:
     #: machine -> ordered closed contributions awaiting settlement: a
     #: ``float`` is one scalar term (an interval's ``power * duration``),
     #: a ``(values, inverse, n_closed)`` tuple is a window's first
-    #: ``n_closed`` per-second powers (``values[inverse]`` order).
+    #: ``n_closed`` per-second powers (``values[inverse]`` order), or
+    #: ``n_closed`` repeats of ``values`` when it is a Python ``float``.
     _pending: Dict[str, List] = field(default_factory=dict, repr=False)
     #: Open journal (two-phase control pass), or ``None`` when live.  A
     #: ``(machine_id, power, now)`` tuple is a journaled ``set_power``;
@@ -193,15 +202,18 @@ class EnergyMeter:
         ``(machine_ids, draws, inverse, offset, length, t_start)`` —
         per-machine series ``draws[i][offset:offset+length]``, or
         ``draws[i][inverse[offset:offset+length]]`` when ``inverse`` is
-        given — and the meter walks the journal inline, *merging* each
-        machine's consecutive windows that share the same evaluation
-        buffers and are adjacent in both offset and time into a single
-        gather piece.  Between two adjacent windows the unmerged chain
-        would append the closing term ``power * 1.0`` — bitwise the same
-        float the merged slice already contains at that position — so
-        pending streams, and therefore settled totals, stay
+        given, where a Python ``float`` ``draws[i]`` stands for a constant
+        column of that value — and the meter walks the journal inline,
+        *merging* each machine's consecutive windows that share the same
+        evaluation buffers and are adjacent in both offset and time into
+        a single gather piece.  Between two adjacent windows the unmerged
+        chain would append the closing term ``power * 1.0`` — bitwise the
+        same float the merged slice already contains at that position —
+        so pending streams, and therefore settled totals, stay
         bit-identical to the per-window replay (pinned by
-        ``tests/properties/test_prop_replay.py``).
+        ``tests/properties/test_prop_replay.py``).  The producer decides
+        once per draw array whether it is constant, so the walk does no
+        NumPy scalar work for constant columns.
         """
         journal = self._batch
         if journal is None:
@@ -215,7 +227,7 @@ class EnergyMeter:
         # probe per journal step instead of one per meter attribute (the
         # year replay walks ~10^6 steps; per-key dict churn was the
         # walk's main cost).  ``run`` is the machine's open gather run
-        # ``[values_base, inverse_base, offset, length, t_start]``.
+        # ``[draw, inverse_base, offset, length, t_start]``.
         # ``open_tail`` flags that the last pending piece is a window
         # tuple whose open (unclosed) element still backs the machine's
         # current power — a closing term of duration exactly 1.0 for
@@ -223,77 +235,73 @@ class EnergyMeter:
         # preserves bits for finite x), so the tuple's ``n_closed`` is
         # bumped instead of appending the scalar: same chain floats,
         # one piece fewer.
-        st: Dict[str, list] = {}
-        st_get = st.get
-        pn_get = power_now.get
-        sc_get = since.get
-        pd_get = pending.get
+        class _States(dict):
+            def __missing__(self, machine_id: str) -> list:
+                rec = self[machine_id] = [
+                    power_now.get(machine_id), since.get(machine_id),
+                    pending.get(machine_id), False, None,
+                ]
+                return rec
+
+        st = _States()
+
+        def close(machine_id: str, rec: list, now) -> None:
+            """Close the open interval at ``now``, as ``set_power`` does:
+            eager machines settle it into the totals (``_scalar_settle``
+            inlined), deferred ones append its term to the stream."""
+            prev_power = rec[0]
+            if prev_power is None:
+                return
+            s = rec[1]
+            if now < s - 1e-9:
+                raise ValueError(f"time went backwards for {machine_id}")
+            dur = now - s
+            pieces = rec[2]
+            if pieces is None:
+                totals[machine_id] = (
+                    totals.get(machine_id, 0.0) + prev_power * dur
+                )
+            elif dur == 1.0 and rec[3]:
+                values, inv, n_closed = pieces[-1]
+                pieces[-1] = (values, inv, n_closed + 1)
+            else:
+                pieces.append(prev_power * dur)
 
         def commit(machine_id: str, rec: list, run: list) -> None:
             base, invb, off, n, t0 = run
-            prev_power = rec[0]
+            close(machine_id, rec, t0)
             pieces = rec[2]
-            if prev_power is not None:
-                s = rec[1]
-                if t0 < s - 1e-9:
-                    raise ValueError(f"time went backwards for {machine_id}")
-                dur = t0 - s
-                if pieces is None:
-                    totals[machine_id] = (
-                        totals.get(machine_id, 0.0) + prev_power * dur
-                    )
-                elif dur == 1.0 and rec[3]:
-                    values, inv, n_closed = pieces[-1]
-                    pieces[-1] = (values, inv, n_closed + 1)
-                else:
-                    pieces.append(prev_power * dur)
             if pieces is None:
                 pieces = rec[2] = []
-            if invb is None:
+            if type(base) is float:
+                # Constant column.  When the previous piece is a constant
+                # of the bitwise-same value (the dur==1.0 bump above just
+                # absorbed the bridge element), extend its closed count
+                # instead of appending — the chain floats are identical,
+                # one piece fewer.
                 if n > 1:
-                    # Constant-column windows arrive as stride-0 broadcast
-                    # slices; when the previous piece is a stride-0 tuple
-                    # holding the bitwise-same constant (the dur==1.0 bump
-                    # above just absorbed the bridge element), extend its
-                    # closed count instead of appending — the chain floats
-                    # are identical, one piece fewer.  ``_fill_stream``
-                    # only reads ``values[0]`` for stride-0 pieces, so
-                    # ``n_closed`` may exceed ``len(values)``.
                     prev = pieces[-1] if pieces else None
-                    c = base[off]
                     if (
-                        base.strides == (0,)
-                        and type(prev) is tuple
-                        and prev[0].strides == (0,)
-                        and len(prev[0])
-                        and prev[0][0] == c
-                        and np.signbit(prev[0][0]) == np.signbit(c)
+                        type(prev) is tuple
+                        and type(prev[0]) is float
+                        and prev[0] == base
+                        and copysign(1.0, prev[0]) == copysign(1.0, base)
                     ):
-                        pieces[-1] = (prev[0], prev[1], prev[2] + n - 1)
+                        pieces[-1] = (base, None, prev[2] + n - 1)
                     else:
-                        pieces.append((base[off:off + n], None, n - 1))
-                    rec[3] = True
-                else:
-                    rec[3] = False
-                rec[0] = float(base[off + n - 1])
+                        pieces.append((base, None, n - 1))
+                rec[0] = base
             else:
-                if n > 1:
-                    prev = pieces[-1] if pieces else None
-                    if (
-                        base.strides == (0,)
-                        and type(prev) is tuple
-                        and prev[0].strides == (0,)
-                        and len(prev[0])
-                        and prev[0][0] == base[0]
-                        and np.signbit(prev[0][0]) == np.signbit(base[0])
-                    ):
-                        pieces[-1] = (prev[0], prev[1], prev[2] + n - 1)
-                    else:
-                        pieces.append((base, invb[off:off + n], n - 1))
-                    rec[3] = True
+                last = off + n - 1
+                if invb is None:
+                    if n > 1:
+                        pieces.append((base[off:off + n], None, n - 1))
+                    rec[0] = base.item(last)
                 else:
-                    rec[3] = False
-                rec[0] = float(base[invb[off + n - 1]])
+                    if n > 1:
+                        pieces.append((base, invb[off:off + n], n - 1))
+                    rec[0] = base.item(invb.item(last))
+            rec[3] = n > 1
             rec[1] = t0 + n - 1
 
         try:
@@ -302,44 +310,12 @@ class EnergyMeter:
                     machine_id, power, now = entry
                     if power < 0:
                         raise ValueError("power must be >= 0")
-                    rec = st_get(machine_id)
-                    if rec is None:
-                        rec = st[machine_id] = [
-                            pn_get(machine_id), sc_get(machine_id),
-                            pd_get(machine_id), False, None,
-                        ]
+                    rec = st[machine_id]
                     run = rec[4]
                     if run is not None:
                         rec[4] = None
                         commit(machine_id, rec, run)
-                    prev_power = rec[0]
-                    pieces = rec[2]
-                    if pieces is None:
-                        # Eager machine: settle the closing interval
-                        # directly into the totals (``_scalar_settle``
-                        # inlined against the state record).
-                        if prev_power is not None:
-                            s = rec[1]
-                            if now < s - 1e-9:
-                                raise ValueError(
-                                    f"time went backwards for {machine_id}"
-                                )
-                            totals[machine_id] = (
-                                totals.get(machine_id, 0.0)
-                                + prev_power * (now - s)
-                            )
-                    else:
-                        s = rec[1]
-                        if now < s - 1e-9:
-                            raise ValueError(
-                                f"time went backwards for {machine_id}"
-                            )
-                        dur = now - s
-                        if dur == 1.0 and rec[3]:
-                            values, inv, n_closed = pieces[-1]
-                            pieces[-1] = (values, inv, n_closed + 1)
-                        else:
-                            pieces.append(prev_power * dur)
+                    close(machine_id, rec, now)
                     rec[3] = False
                     rec[0] = power
                     rec[1] = now
@@ -348,12 +324,7 @@ class EnergyMeter:
                     if n <= 0:
                         continue
                     for i, machine_id in enumerate(machine_ids):
-                        rec = st_get(machine_id)
-                        if rec is None:
-                            rec = st[machine_id] = [
-                                pn_get(machine_id), sc_get(machine_id),
-                                pd_get(machine_id), False, None,
-                            ]
+                        rec = st[machine_id]
                         run = rec[4]
                         base = draws[i]
                         if (
@@ -405,111 +376,73 @@ class EnergyMeter:
         self._since[machine_id] = now
 
     @staticmethod
-    def _stream_length(pieces: List) -> int:
-        """Closed contributions in a buffered stream (chain elements)."""
-        total = 0
-        for piece in pieces:
-            total += piece[2] if type(piece) is tuple else 1
-        return total
+    def _fold(total: float, pieces: List) -> float:
+        """``total`` plus a stream's closed contributions, in stream order.
 
-    @staticmethod
-    def _fill_stream(chain: np.ndarray, pos: int, pieces: List) -> int:
-        """Write a stream's closed contributions into ``chain`` at ``pos``.
-
-        Window tuples become contiguous slice/gather writes straight into
-        the destination (no intermediate per-piece arrays); broadcast
-        constant columns (stride-0 draws from the kernel's constant-column
-        elision) become scalar fills.  Element order is exactly the
-        buffered order, so the chain is the same vector
-        piece-by-piece concatenation would produce.
+        The stream is added in blocks of :data:`_FOLD_BLOCK` elements:
+        slot 0 of each block carries the running total, window tuples
+        become slice/gather writes straight into the block (constant
+        columns scalar fills), and one ``np.cumsum`` settles the block.
+        ``cumsum`` over a 1-D float64 array adds strictly left to right,
+        so the block fold performs exactly the adds of one cumsum over
+        the whole chain — bit-identical to folding the contributions in
+        as they happened — with one block of memory whatever the stream
+        length.
         """
+        end = _FOLD_BLOCK + 1
+        buf = np.empty(end)
+        pos = 1
         for piece in pieces:
             if type(piece) is tuple:
-                values, inverse, n_closed = piece
-                end = pos + n_closed
-                if values.strides == (0,):
-                    chain[pos:end] = values[0] if len(values) else 0.0
-                elif inverse is None:
-                    chain[pos:end] = values[:n_closed]
-                else:
-                    np.take(values, inverse[:n_closed], out=chain[pos:end])
-                pos = end
+                values, inverse, n = piece
             else:
-                chain[pos] = piece
+                buf[pos] = piece
                 pos += 1
-        return pos
+                n = 0
+            i = 0
+            while True:
+                if pos == end:
+                    buf[0] = total
+                    np.cumsum(buf, out=buf)
+                    total = buf.item(-1)
+                    pos = 1
+                if not n:
+                    break
+                take = end - pos if end - pos < n else n
+                dst = buf[pos:pos + take]
+                if type(values) is float:
+                    dst.fill(values)
+                elif inverse is None:
+                    dst[:] = values[i:i + take]
+                else:
+                    np.take(values, inverse[i:i + take], out=dst)
+                i += take
+                n -= take
+                pos += take
+        if pos > 1:
+            buf[0] = total
+            view = buf[:pos]
+            np.cumsum(view, out=view)
+            total = view.item(-1)
+        return total
 
     def _flush(self, machine_id: str) -> None:
-        """Settle a machine's buffered contributions in one cumsum pass."""
+        """Settle a machine's buffered contributions (one block fold)."""
         pieces = self._pending.pop(machine_id, None)
         if not pieces:
             return
-        # One sequential left-to-right accumulation over every closed
-        # contribution — bit-identical to folding them in as they happened.
-        chain = np.empty(1 + self._stream_length(pieces))
-        chain[0] = self._totals.get(machine_id, 0.0)
-        self._fill_stream(chain, 1, pieces)
-        np.cumsum(chain, out=chain)
-        self._totals[machine_id] = float(chain[-1])
-
-    #: Stacked-settle guard: fall back to per-machine flushes when the
-    #: zero-padded matrix would waste more than this many elements (ragged
-    #: streams), keeping peak memory bounded.  Both paths are
-    #: bit-identical; the rule is purely a resource bound.
-    _STACK_WASTE_LIMIT = 1 << 22
+        self._totals[machine_id] = self._fold(
+            self._totals.get(machine_id, 0.0), pieces
+        )
 
     def _flush_all(self) -> None:
-        """Settle every machine's buffered stream in one stacked cumsum.
+        """Settle every machine's buffered stream, machine by machine.
 
-        Each machine's closed-contribution vector becomes one row of a
-        zero-padded 2-D matrix — column 0 the machine's settled base
-        total, trailing columns zero — settled with a single
-        ``np.cumsum(axis=1)``.  ``cumsum`` accumulates strictly
-        left-to-right per row, and the trailing ``+ 0.0`` adds cannot
-        change a total built from non-negative terms, so every row's
-        final column is bit-identical to that machine's
-        :meth:`_flush` result.  Severely ragged streams (year-scale
-        two-phase settles, where padding would dwarf the payload) fall
-        back to per-machine passes — same chains, same bits.
+        Each stream is block-folded on its own (:meth:`_fold`), so no
+        buffer ever spans the trace: memory is one block per flush.
         """
-        pending = self._pending
-        if not pending:
-            return
-        if len(pending) == 1:
-            for machine_id in list(pending):
-                self._flush(machine_id)
-            return
-        rows = []
-        total_len = 0
-        max_len = 0
-        for machine_id, pieces in pending.items():
-            if not pieces:  # opened stream, nothing closed yet
-                continue
-            length = self._stream_length(pieces)
-            rows.append((machine_id, pieces, length))
-            total_len += length
-            if length > max_len:
-                max_len = length
-        pending.clear()
-        k = len(rows)
-        if k == 0:
-            return
-        if k * max_len - total_len > self._STACK_WASTE_LIMIT:
-            chain = np.empty(1 + max_len)
-            for machine_id, pieces, length in rows:
-                chain[0] = self._totals.get(machine_id, 0.0)
-                self._fill_stream(chain, 1, pieces)
-                view = chain[: 1 + length]
-                np.cumsum(view, out=view)
-                self._totals[machine_id] = float(view[-1])
-            return
-        stacked = np.zeros((k, 1 + max_len))
-        for i, (machine_id, pieces, _) in enumerate(rows):
-            stacked[i, 0] = self._totals.get(machine_id, 0.0)
-            self._fill_stream(stacked[i], 1, pieces)
-        settled = np.cumsum(stacked, axis=1)[:, -1]
-        for i, (machine_id, _, _) in enumerate(rows):
-            self._totals[machine_id] = float(settled[i])
+        for machine_id in list(self._pending):
+            self._flush(machine_id)
 
     def _scalar_settle(self, machine_id: str, now: float) -> None:
         prev_power = self._power_now.get(machine_id)

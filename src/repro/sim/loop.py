@@ -47,17 +47,17 @@ Two engines replay that rule:
   ``tests/properties/test_prop_replay.py``), while year-scale replays
   take seconds.
 
-Reconfigurations themselves run through the real FSM/event-queue
-machinery in both engines: booting, migration round-robin, shutdown victim
-selection and the energy ledger writes they imply are shared code, not
-re-derived.
+Reconfigurations run through the real FSM/event-queue machinery (boots,
+migration round-robin, victim selection, ledger writes): the reference
+engine runs each one; the control pass runs each distinct episode once
+per pass and replays repeats from its record (``_control_pass``).
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -70,7 +70,7 @@ from ..core.prediction import (
 from ..core.reconfiguration import Reconfiguration, Transition, _ceil_s
 from ..core.scheduler import DecisionWalk, _decision_ids
 from ..workload.trace import LoadTrace
-from .application import Application, ApplicationSpec
+from .application import AppInstance, Application, ApplicationSpec
 from .cluster import Cluster
 from .energy import EnergyMeter
 from .events import EventQueue
@@ -113,6 +113,27 @@ class _ControlPlan:
     plans: List[Tuple[Tuple[Optional[str], float], ...]]
     compress: bool
     horizon: int
+    #: reconfiguration episodes replayed from a template / recorded
+    templated: int
+    templates: int
+
+
+class _Episode(NamedTuple):
+    """One reconfiguration episode, recorded relative to its decision.
+
+    Times are offsets from the decision second, journal markers are
+    descriptor offsets, and the last descriptor's end is the next
+    decision.
+    """
+
+    journal: tuple  #: ``set_power`` tuples and markers
+    descs: tuple
+    machines: tuple  #: (machine, state, load, booted, stopped)
+    born: tuple  #: (machine, start offset, ready delay) per new instance
+    migrations: int
+    peak: int  #: peak ON census
+    serving: list
+    ready: list
 
 
 class EventDrivenReplay:
@@ -151,6 +172,7 @@ class EventDrivenReplay:
         #: wall-time per phase (predict / control / evaluate / settle),
         #: surfaced as ``meta["phase_s"]`` for the CLI's ``--stats`` table.
         self._phase_s: Dict[str, float] = {}
+        self._ran = False
 
     # -- setup -----------------------------------------------------------
     def _materialise_initial(self, combo: Combination, now: float) -> None:
@@ -200,24 +222,15 @@ class EventDrivenReplay:
         else:
             self._pending_handover = handover
             self.queue.schedule(handover, self._handover, handover, target, stops, booted)
-        self._reconfig_until = handover + off_dur
-        self._events.append(
-            Reconfiguration(
-                decided_at=t,
-                completes_at=self._reconfig_until,
-                before=self._current,
-                after=target,
-                boot_duration=boot_dur,
-                off_duration=off_dur,
-                on_energy=sum(
-                    cnt * profs[n].on_energy for n, cnt in starts.items()
-                ),
-                off_energy=sum(
-                    cnt * profs[n].off_energy for n, cnt in stops.items()
-                ),
-            )
+        self._log_reconfiguration(
+            t, target,
+            Transition(
+                tuple(starts.items()), tuple(stops.items()), boot_dur,
+                off_dur,
+                sum(cnt * profs[n].on_energy for n, cnt in starts.items()),
+                sum(cnt * profs[n].off_energy for n, cnt in stops.items()),
+            ),
         )
-        self._current = target
 
     def _handover(
         self,
@@ -291,6 +304,12 @@ class EventDrivenReplay:
             self.queue.schedule(
                 handover, self._handover, handover, target, stops, booted
             )
+        self._log_reconfiguration(t, target, tr)
+
+    def _log_reconfiguration(
+        self, t: int, target: Combination, tr: Transition
+    ) -> None:
+        """Log the decision taken at ``t``; ``target`` becomes current."""
         self._reconfig_until = t + tr.boot_duration + tr.off_duration
         self._events.append(
             Reconfiguration(
@@ -374,13 +393,19 @@ class EventDrivenReplay:
         ``engine="twophase"`` (default) runs the two-phase
         control/evaluate engine; ``engine="reference"`` the original
         per-second Python loop.  Both produce bit-identical results; a
-        replay object is single-use either way.
+        replay object is single-use either way, and a second call raises
+        :class:`RuntimeError`.
         """
+        if engine not in ("twophase", "reference"):
+            raise ValueError(f"unknown engine {engine!r}")
+        if self._ran:
+            raise RuntimeError(
+                "EventDrivenReplay is single-use: build a new one to rerun"
+            )
+        self._ran = True
         if engine == "twophase":
             return self._run_twophase()
-        if engine == "reference":
-            return self._run_reference()
-        raise ValueError(f"unknown engine {engine!r}")
+        return self._run_reference()
 
     def _run_reference(self) -> SimulationResult:
         """The per-second FSM loop — the executable specification."""
@@ -438,6 +463,84 @@ class EventDrivenReplay:
             if m.load < 0.0:
                 m.load = 0.0
 
+    def _record_episode(
+        self, recording: Tuple, peak: int, descs: List, ready: List[Machine]
+    ) -> _Episode:
+        """The episode the FSM just ran from the recording's decision."""
+        _, _, t, jstart, dstart, migrations, _ = recording
+        journal = tuple(
+            e - dstart if type(e) is int else (e[0], e[1], e[2] - t)
+            for e in self.meter._batch[jstart:]
+        )
+        # Every machine is ON or OFF at both ends of an episode, so each
+        # one it touched was booted (ends ON) or stopped (ends OFF).
+        by_id = {m.machine_id: m for m in self.cluster.machines()}
+        on = MachineState.ON
+        touched = [
+            by_id[mid]
+            for mid in dict.fromkeys(e[0] for e in journal if type(e) is tuple)
+        ]
+        # Retiring deletes and deploying appends: the started instances
+        # (one per booted machine) are the newest ones, in id order.
+        insts = list(self.app._instances.values())
+        born = insts[len(insts) - sum(m.state is on for m in touched):]
+        return _Episode(
+            journal=journal,
+            descs=tuple(
+                (d[0] - t, d[1] - t, d[2], d[3]) for d in descs[dstart:]
+            ),
+            machines=tuple(
+                (m, m.state, m.load, m.state is on, m.state is not on)
+                for m in touched
+            ),
+            born=tuple(
+                (i.machine, i.started_at - t, i.ready_at - i.started_at)
+                for i in born
+            ),
+            migrations=self.stats.migrations - migrations,
+            peak=peak,
+            serving=self._serving,
+            ready=ready,
+        )
+
+    def _replay_episode(
+        self, ep: _Episode, t: int, nxt: int, target: Combination,
+        tr: Transition, descs: List,
+    ) -> None:
+        """Apply ``ep`` at decision ``t``; the next decision is ``nxt``."""
+        d0 = len(descs)
+        self.meter._batch.extend([
+            e + d0 if type(e) is int else (e[0], e[1], e[2] + t)
+            for e in ep.journal
+        ])
+        descs.extend([(a + t, b + t, k, p) for a, b, k, p in ep.descs])
+        last = descs[-1]
+        descs[-1] = (last[0], nxt, last[2], last[3])
+        app = self.app
+        for m, state, load, booted, stopped in ep.machines:
+            m.state = state
+            m.load = load
+            m.transition_ends = None
+            m.boots += booted
+            m.shutdowns += stopped
+            if stopped:  # a victim: its instance retired
+                del app._instances[app._by_machine.pop(m.machine_id)]
+        for m, rel, delay in ep.born:
+            now = rel + t
+            iid = f"{app.spec.name}-{next(app._ids)}"
+            app._instances[iid] = AppInstance(iid, m, now, now + delay)
+            app._by_machine[m.machine_id] = iid
+        stats = self.stats
+        for name, cnt in tr.starts:
+            stats.boots[name] = stats.boots.get(name, 0) + cnt
+        for name, cnt in tr.stops:
+            stats.shutdowns[name] = stats.shutdowns.get(name, 0) + cnt
+        stats.migrations += ep.migrations
+        if ep.peak > stats.peak_machines_on:
+            stats.peak_machines_on = ep.peak
+        self._serving = ep.serving
+        self._log_reconfiguration(t, target, tr)
+
     def _control_pass(self) -> _ControlPlan:
         """Phase 1: walk boundaries, emit descriptors, journal the meter.
 
@@ -453,6 +556,28 @@ class EventDrivenReplay:
         threshold crossed reuse the previous segment's kernel/plan
         indices outright.  Machine loads are only refreshed (one scalar
         balance) at boundaries where a hand-over or decision reads them.
+
+        **Episode templates.**  An episode is everything from one
+        decision to the next.  It is replayed from a record of this pass
+        when the queue is empty, no hand-over is pending, every serving
+        instance is ready and every non-OFF machine is in the ready set
+        (so every machine is ON or OFF), and both ``t + boot + off`` and
+        the record's last descriptor start fall before the next
+        decision; otherwise the FSM runs it.  The key is (kernel index,
+        plan index, target grid index, shutdown victims,
+        ``stats.migrations % n_booted``), and it is complete: the kernel
+        fixes the ON set, hence the combination and the transition; the
+        booted machines are the first OFF ones in pool order (a record
+        creates no machine, and pools only grow); the victims are picked
+        by the hand-over's own code from the loads it refreshes; the
+        migration counter fixes the round-robin targets.  Every other
+        input is a constant or the decision second plus an integer or a
+        spec delay in multiples of 2**-10 s (templating is off for other
+        delays), so offsets reproduce times exactly.  A key is recorded
+        on its second sighting, and its victims are only computed from
+        then on.  Picking the victims refreshes the serving set's loads
+        at the hand-over's rate, as the hand-over does, so a hit leaves
+        every machine the load the FSM run would leave it.
         """
         trace = self.trace
         horizon = len(trace)
@@ -502,6 +627,20 @@ class EventDrivenReplay:
         ready: List[Machine] = []
         memo_key: Tuple = ()
         ready_stale = True
+        #: Episode templates of this pass: key without the victims ->
+        #: ``None`` once sighted, then victims -> record.
+        templates: Dict[Tuple, Optional[Dict[Tuple, _Episode]]] = {}
+        recording: Optional[Tuple] = None
+        plan_steady: List[bool] = []  # per plan: every non-OFF one ready
+        on_hi = 0  # peak ON census since the recording started
+        n_templated = n_templates = 0
+        journal = self.meter._batch
+        # Spec delays in multiples of 2**-10 s shift exactly with t.
+        spec = self.app.spec
+        templating = all(
+            float(x * 1024).is_integer()
+            for x in (spec.start_time, spec.migration_time)
+        )
         queue = self.queue
         heap = queue._heap  # stable list object; run_until mutates in place
         run_until = queue.run_until
@@ -519,6 +658,75 @@ class EventDrivenReplay:
         while t < horizon:
             pr_seen = pr_i
             if t == next_decide:
+                _, target, tr = sched[sched_i]
+                sched_i += 1
+                next_decide = (
+                    sched[sched_i][0] if sched_i < n_sched else horizon
+                )
+                steady = (
+                    not heap
+                    and self._pending_handover is None
+                    and pr_i == len(pending_ready)
+                    and plan_steady[p_idx]
+                )
+                if recording is not None:
+                    if steady and recording[-1] == cluster.n_machines:
+                        recording[0][recording[1]] = self._record_episode(
+                            recording, on_hi, descs, ready
+                        )
+                        n_templates += 1
+                    recording = None
+                if steady and templating and (
+                    t + tr.boot_duration + tr.off_duration < next_decide
+                ):
+                    n_boot = sum(c for _, c in tr.starts)
+                    part = (
+                        k_idx, p_idx, target,
+                        self.stats.migrations % n_boot
+                        if n_boot and tr.stops else 0,
+                    )
+                    group = templates.get(part, False)
+                    if group is False:  # first sighting: remember only
+                        templates[part] = None
+                    else:
+                        if group is None:
+                            group = templates[part] = {}
+                        # The victims, as the hand-over will pick them
+                        # from the loads it will refresh.
+                        self._refresh_loads(
+                            prev_ready,
+                            float(values[t + tr.boot_duration - 1]),
+                            prev_kernel,
+                        )
+                        vkey = tuple(
+                            m.machine_id
+                            for name, cnt in tr.stops
+                            for m in cluster.pick_shutdown_victims(name, cnt)
+                        )
+                        ep = group.get(vkey)
+                        if ep is None:
+                            on_hi = 0
+                            recording = (
+                                group, vkey, t, len(journal), len(descs),
+                                self.stats.migrations, cluster.n_machines,
+                            )
+                        elif ep.descs[-1][0] < next_decide - t:
+                            self._replay_episode(
+                                ep, t, next_decide, combo_at(target), tr,
+                                descs,
+                            )
+                            n_templated += 1
+                            # ``ready`` and the memo keys are recomputed
+                            # before they are read again; the serving
+                            # pairs are rebuilt from the new serving list.
+                            _, _, k_idx, p_idx = ep.descs[-1]
+                            prev_ready = ep.ready
+                            prev_kernel = kernels[k_idx]
+                            serving_src = None
+                            pending_ready = []
+                            pr_i = 0
+                            t = next_decide
+                            continue
                 # Loads are only read by the hand-over path (victim
                 # ordering, drain checks) and the decision that may start
                 # one — boot/shutdown completions never look at them.
@@ -526,12 +734,7 @@ class EventDrivenReplay:
                     prev_ready, float(values[t - 1]), prev_kernel
                 )
                 run_until(t)
-                _, target, tr = sched[sched_i]
                 self._start_scheduled(t, combo_at(target), tr)
-                sched_i += 1
-                next_decide = (
-                    sched[sched_i][0] if sched_i < n_sched else horizon
-                )
                 state_changed = True
             elif not heap:
                 # Steady stretch: no events, and a pending hand-over
@@ -633,9 +836,13 @@ class EventDrivenReplay:
                 if p_idx is None:
                     p_idx = plan_idx[acc_plan] = len(plans)
                     plans.append(acc_plan)
+                    plan_steady.append(len(items) == len(ready))
                 plan_key = memo_key
-                if state_changed and n_on > self.stats.peak_machines_on:
-                    self.stats.peak_machines_on = n_on
+                if state_changed:
+                    if n_on > on_hi:
+                        on_hi = n_on
+                    if n_on > self.stats.peak_machines_on:
+                        self.stats.peak_machines_on = n_on
             batch_mark(len(descs))
             descs_append((t, b, k_idx, p_idx))
             prev_ready = ready
@@ -649,6 +856,7 @@ class EventDrivenReplay:
         return _ControlPlan(
             descs=descs, kernels=kernels, plans=plans,
             compress=compress, horizon=horizon,
+            templated=n_templated, templates=n_templates,
         )
 
     def _evaluate_pass(self, plan: _ControlPlan, values: np.ndarray):
@@ -661,8 +869,9 @@ class EventDrivenReplay:
         one contiguous slice write per descriptor (``power[t:b]``) from
         the per-plan accumulated series; per-(group, plan) power
         accumulation follows ``Cluster.total_power``'s machine order.
-        Returns the series plus per-descriptor ``(window, offset,
-        length)`` views for the meter journal's resolver.
+        Returns the series plus per-descriptor ``(window, draws, offset,
+        length)`` views for the meter journal's resolver, where ``draws``
+        holds each constant column as its Python float.
         """
         horizon = plan.horizon
         descs = plan.descs
@@ -671,7 +880,9 @@ class EventDrivenReplay:
         groups: Dict[int, List[int]] = {}
         for j, desc in enumerate(descs):
             groups.setdefault(desc[2], []).append(j)
-        seg_eval: List[Optional[Tuple[object, int, int]]] = [None] * len(descs)
+        seg_eval: List[Optional[Tuple[object, tuple, int, int]]] = (
+            [None] * len(descs)
+        )
         for k_idx, desc_ids in groups.items():
             kernel = plan.kernels[k_idx]
             n_segs = len(desc_ids)
@@ -689,7 +900,14 @@ class EventDrivenReplay:
             # else: max(rate - served, 0.0) is +0.0 everywhere — exactly
             # the zeros the series was initialised with.
             unserved_u = window.unserved if has_unserved else None
-            draw_of = dict(zip(kernel.machine_ids, window.draws))
+            # Constant columns (the kernel's stride-0 broadcasts) become
+            # their Python float here, once per window: the plan folds
+            # and the meter's journal walk then need no NumPy scalar work.
+            draws = tuple(
+                d.item(0) if d.strides == (0,) and len(d) else d
+                for d in window.draws
+            )
+            draw_of = dict(zip(kernel.machine_ids, draws))
             # Per-plan accumulated series over the group's unique rates:
             # same machine iteration (= float accumulation) order as
             # Cluster.total_power.  Constant terms — plan constants and
@@ -705,14 +923,7 @@ class EventDrivenReplay:
                     acc: Optional[np.ndarray] = None
                     acc_scalar = 0.0
                     for draw_key, const in plan.plans[p_idx]:
-                        if draw_key is None:
-                            term = const
-                        else:
-                            d = draw_of[draw_key]
-                            if d.strides == (0,):  # broadcast constant col
-                                term = float(d[0]) if len(d) else 0.0
-                            else:
-                                term = d
+                        term = const if draw_key is None else draw_of[draw_key]
                         if acc is not None:
                             acc += term
                         elif isinstance(term, float):
@@ -746,7 +957,7 @@ class EventDrivenReplay:
                         unserved[t:b] = unserved_u[off:off + n]
                     else:
                         unserved[t:b] = unserved_u[inverse[off:off + n]]
-                seg_eval[j] = (window, off, n)
+                seg_eval[j] = (window, draws, off, n)
                 off += n
         return power, unserved, seg_eval, len(groups)
 
@@ -764,10 +975,10 @@ class EventDrivenReplay:
 
         def resolve(j: int):
             """Journal marker ``j``'s evaluated gather bundle."""
-            window, off, n = seg_eval[j]
+            window, draws, off, n = seg_eval[j]
             return (
                 window.kernel.machine_ids,
-                window.draws,
+                draws,
                 window.inverse,
                 off,
                 n,
@@ -783,5 +994,7 @@ class EventDrivenReplay:
                 "segments": len(descs),
                 "serving_sets": len(plan.kernels),
                 "batches": n_batches,
+                "templated_episodes": plan.templated,
+                "episode_templates": plan.templates,
             },
         )

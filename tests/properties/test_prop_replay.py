@@ -77,6 +77,20 @@ def _run_pair(infra, trace, window, spec, strategy):
     return results, replays
 
 
+def _object_state(replay):
+    """The machines and hosted instances a replay leaves behind."""
+    machines = [
+        (m.machine_id, m.state, m.load, m.boots, m.shutdowns,
+         m.transition_ends)
+        for m in replay.cluster.machines()
+    ]
+    instances = sorted(
+        (i.machine.machine_id, i.instance_id, i.started_at, i.ready_at)
+        for i in replay.app.instances
+    )
+    return machines, instances
+
+
 def _assert_identical(ref, other, ref_replay, other_replay):
     """The full cross-engine bit-identity contract, one engine pair."""
     assert np.array_equal(ref.power, other.power)
@@ -87,6 +101,8 @@ def _assert_identical(ref, other, ref_replay, other_replay):
     assert ref_replay.stats == other_replay.stats
     # whole records: every field, boot/off durations included
     assert ref.reconfigurations == other.reconfigurations
+    # the object state left behind: templated episodes set it directly
+    assert _object_state(ref_replay) == _object_state(other_replay)
 
 
 class TestEngineEquivalence:
@@ -256,6 +272,120 @@ class TestTwoPhaseScenarios:
         assert [k.machine_ids for k in bare.kernels] == [
             k.machine_ids for k in evaluated.kernels
         ]
+
+
+@st.composite
+def periodic_trace(draw):
+    """A 2-4-level stepped pattern tiled 3-8 times, with jitter.
+
+    Repeats of the same transition from the same serving set are what
+    the control pass replays from episode templates; the plain stepped
+    traces above rarely repeat one three times.
+    """
+    n_levels = draw(st.integers(2, 4))
+    levels = draw(
+        st.lists(
+            st.floats(0.0, 2800.0, allow_nan=False, allow_infinity=False),
+            min_size=n_levels,
+            max_size=n_levels,
+        )
+    )
+    durations = draw(
+        st.lists(st.integers(60, 600), min_size=n_levels, max_size=n_levels)
+    )
+    reps = draw(st.integers(3, 8))
+    integer = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    period = np.concatenate(
+        [np.full(d, lv) for lv, d in zip(levels, durations)]
+    )
+    values = np.tile(period, reps)
+    if integer:
+        values = np.round(values) + rng.integers(0, 20, size=len(values))
+    else:
+        values = values + rng.uniform(0.0, 20.0, size=len(values))
+    return LoadTrace(np.maximum(values, 0.0))
+
+
+_BOUNDED_INVENTORY = {"paravance": 1, "chromebook": 8, "raspberry": 8}
+
+
+def _replay_builder(infra, trace, table_kind, spec, strategy, window):
+    """``build()`` for a fresh replay over one of three tables: the plain
+    table, a power-capped design, or a bounded inventory's clamped
+    ``plan_detailed`` table (``test_constrained_nodes_bit_identical``'s
+    construction)."""
+    predictor = LookAheadMaxPredictor(window)
+    inventory = None
+    if table_kind == "plain":
+        table = infra.table(3000.0)
+    elif table_kind == "capped":
+        table = _capped_infra(0.7).table(3000.0)
+    else:
+        inventory = _BOUNDED_INVENTORY
+        table = BMLScheduler(
+            infra, predictor=predictor, inventory=inventory
+        ).plan_detailed(trace).table
+
+    def build():
+        return EventDrivenReplay(
+            table, trace, predictor=predictor, app_spec=spec,
+            balancer=LoadBalancer(strategy), inventory=inventory,
+        )
+
+    return build
+
+
+class TestTemplatedEpisodes:
+    """Repeated reconfiguration episodes replayed from per-pass templates
+    stay bit-identical to the FSM, object state included."""
+
+    @staticmethod
+    def _check(build):
+        results, replays = [], []
+        for engine in ALL_ENGINES:
+            replay = build()
+            results.append(replay.run(engine=engine))
+            replays.append(replay)
+        _assert_identical(results[0], results[1], replays[0], replays[1])
+        assert "templated_episodes" not in results[0].meta
+        return results[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        periodic_trace(),
+        st.sampled_from([(0.0, 0.0), (0.5, 0.5), (3.0, 2.5), (0.0, 7.0)]),
+        st.sampled_from(["efficient", "proportional"]),
+        st.sampled_from(["plain", "capped", "bounded"]),
+        st.sampled_from([60, 200]),
+    )
+    def test_periodic_bit_identical(
+        self, infra, trace, times, strategy, table_kind, window
+    ):
+        stop, start = times
+        spec = ApplicationSpec(stop_time=stop, start_time=start)
+        self._check(
+            _replay_builder(infra, trace, table_kind, spec, strategy, window)
+        )
+
+    @pytest.mark.parametrize(
+        "stop, start, templated",
+        [(0.5, 0.5, True), (0, 1, True), (0.1, 0.2, False)],
+    )
+    def test_square_wave_replays_templates(
+        self, infra, stop, start, templated
+    ):
+        """Deterministic hit case: the property above must keep reaching
+        the templated path, not only the FSM.  Integer delays template
+        too; delays that are not multiples of 2**-10 s switch it off."""
+        period = np.concatenate([np.full(600, 200.0), np.full(600, 1400.0)])
+        trace = LoadTrace(np.tile(period, 6))
+        spec = ApplicationSpec(stop_time=stop, start_time=start)
+        two = self._check(
+            _replay_builder(infra, trace, "plain", spec, "efficient", 60)
+        )
+        assert (two.meta["templated_episodes"] > 0) is templated
+        assert (two.meta["episode_templates"] > 0) is templated
 
 
 def _batch_windows(meter, windows):

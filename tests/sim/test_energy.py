@@ -96,6 +96,36 @@ class TestEnergyMeter:
         assert EnergyMeter().energy_of("ghost") == 0.0
 
 
+class TestBlockFold:
+    def test_fold_across_blocks_matches_one_cumsum(self):
+        """A stream spanning several settle blocks folds to the final
+        element of one cumsum over the whole chain, bit for bit."""
+        from repro.sim.energy import _FOLD_BLOCK
+
+        rng = np.random.default_rng(5)
+        values = rng.uniform(0.0, 300.0, 4000)
+        inverse = rng.integers(0, len(values), 3 * _FOLD_BLOCK)
+        n_gather = len(inverse) - 7
+        n_const = 2 * _FOLD_BLOCK + 3
+        pieces = [
+            12.5,
+            (values, inverse, n_gather),
+            (97.25, None, n_const),
+            3.0,
+            (values, None, len(values)),
+        ]
+        chain = np.concatenate(
+            [
+                [1e6, 12.5],
+                values[inverse[:n_gather]],
+                np.full(n_const, 97.25),
+                [3.0],
+                values,
+            ]
+        )
+        assert EnergyMeter._fold(1e6, pieces) == np.cumsum(chain)[-1]
+
+
 class TestBreakpointCacheLRU:
     """The breakpoint memo is bounded (LRU) and exposes telemetry."""
 

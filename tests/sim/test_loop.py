@@ -83,6 +83,29 @@ class TestValidation:
             EventDrivenReplay(infra.table(10.0), trace)
 
 
+class TestSingleUse:
+    @pytest.mark.parametrize("engine", ("reference", "twophase"))
+    def test_second_run_raises(self, infra, short_trace, engine):
+        replay = EventDrivenReplay(
+            infra.table(3000.0), short_trace[:1800],
+            predictor=LookAheadMaxPredictor(378),
+        )
+        replay.run(engine=engine)
+        with pytest.raises(RuntimeError, match="single-use"):
+            replay.run(engine=engine)
+
+    def test_unknown_engine_does_not_use_up_the_replay(
+        self, infra, short_trace
+    ):
+        replay = EventDrivenReplay(
+            infra.table(3000.0), short_trace[:1800],
+            predictor=LookAheadMaxPredictor(378),
+        )
+        with pytest.raises(ValueError, match="unknown engine"):
+            replay.run(engine="warp")
+        assert replay.run().meta["engine"] == "twophase"
+
+
 class TestInventoryLimits:
     def test_bounded_cluster_raises_when_exhausted(self, infra):
         """The event-driven replay surfaces inventory exhaustion loudly

@@ -376,6 +376,7 @@ class TestEngineFlag:
         assert "replay statistics" in out
         assert "twophase" in out
         assert "serving_sets" in out
+        assert "templated" in out
 
     def test_simulate_stats_without_engine_notes_fast_path(self, capsys):
         assert main(["simulate", "--days", "1", "--stats"]) == 0
