@@ -53,7 +53,7 @@ def test_scenario_catalogue_sweep(benchmark):
 
 
 def _fanout_specs():
-    """A workload-heavy suite for the fan-out benchmarks.
+    """A workload-heavy suite for the fan-out benchmark.
 
     Six distinct two-day workloads (seed variants of the paper trace),
     two scheduler variants each: workload construction is a real
@@ -82,10 +82,10 @@ def _fanout_specs():
 
 
 def _cold_caches(specs):
-    """Cold-start setup (untimed): both fan-out modes build from scratch.
+    """Cold-start setup (untimed): the fan-out builds from scratch.
 
-    Also the reason these benchmarks are defined *after* the catalogue
-    sweep: they clear and repopulate the process-level trace cache, and
+    Also the reason this benchmark is defined *after* the catalogue
+    sweep: it clears and repopulates the process-level trace cache, and
     must not perturb the ambient state earlier benchmarks measure under.
     """
     scenarios.clear_caches()
@@ -97,27 +97,11 @@ def test_perf_suite_fanout_chunked(benchmark):
     """PR 5 fan-out: workload-chunked pool tasks.
 
     Scenarios sharing a workload land on one worker, so every trace is
-    built exactly once across the pool (the per-spec reference rebuilds
-    a workload in every worker its scenarios happen to land on).  The
-    chunked/per-spec ratio in the benchmark JSON *is* the measured
-    scheduling win over the PR 4 fan-out.
+    built exactly once across the pool.
     """
     specs = _fanout_specs()
     runs = benchmark.pedantic(
         lambda s: scenarios.run_suite(s, jobs=2),
-        setup=lambda: _cold_caches(specs),
-        rounds=2,
-        iterations=1,
-    )
-    assert [r.name for r in runs] == [s.name for s in specs]
-
-
-@pytest.mark.benchmark(group="perf-suite")
-def test_perf_suite_fanout_per_spec(benchmark):
-    """The PR 4 fan-out (one pool task per spec), kept as the reference."""
-    specs = _fanout_specs()
-    runs = benchmark.pedantic(
-        lambda s: scenarios.run_suite(s, jobs=2, chunked=False),
         setup=lambda: _cold_caches(specs),
         rounds=2,
         iterations=1,

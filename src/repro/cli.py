@@ -75,6 +75,59 @@ from .profiling.hardware import paper_hardware
 __all__ = ["main", "build_parser"]
 
 
+def _suite_run_options() -> argparse.ArgumentParser:
+    """The execution options ``scenario run`` and ``sweep run`` share."""
+    opts = argparse.ArgumentParser(add_help=False)
+    opts.add_argument(
+        "--jobs", type=int, default=1, help="worker processes (1 = in-process)"
+    )
+    opts.add_argument(
+        "--engine",
+        choices=("twophase", "reference"),
+        default=None,
+        help="replay scheduling-policy scenarios on the event-driven "
+             "two-phase engine or its per-second reference (baseline "
+             "policies keep their engine)",
+    )
+    opts.add_argument(
+        "--stats", action="store_true",
+        help="print replay statistics (segments, serving sets, batches, "
+             "per-phase wall time)",
+    )
+    opts.add_argument(
+        "--save", type=Path, default=None,
+        help="persist every run into a run store at DIR as it completes",
+    )
+    opts.add_argument(
+        "--resume", action="store_true",
+        help="skip scenarios whose results the --save store already "
+             "holds (checkpoint/resume; requires --save)",
+    )
+    opts.add_argument(
+        "--keep-going", action="store_true",
+        help="run every scenario even when some fail: survivors are "
+             "reported normally, failures go to stderr and the exit "
+             "code is 2",
+    )
+    opts.add_argument(
+        "--retries", type=int, default=1, metavar="N",
+        help="attempts per scenario before it is declared failed "
+             "(default 1: no retry)",
+    )
+    opts.add_argument(
+        "--timeout", type=float, default=None, metavar="S",
+        help="per-chunk deadline in seconds with --jobs > 1 (hung "
+             "workers are detected, the pool resurrected, their work "
+             "retried)",
+    )
+    opts.add_argument(
+        "--chunk-size", type=int, default=None, metavar="N",
+        help="cap fan-out chunks at N scenarios (finer dispatch/retry "
+             "granularity; shared-memory traces keep it cheap)",
+    )
+    return opts
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree (exposed for testing and ``--help`` docs)."""
     parser = argparse.ArgumentParser(
@@ -150,74 +203,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--days", type=int, default=87, help="fig5 trace length")
     p_exp.add_argument("--csv", type=Path, default=None, help="dump series to DIR")
 
+    run_opts = _suite_run_options()
     p_scen = sub.add_parser("scenario", help="declarative scenario registry")
     scen_sub = p_scen.add_subparsers(dest="scenario_command", required=True)
     p_list = scen_sub.add_parser("list", help="show registered scenarios")
     p_list.add_argument("--tag", default=None, help="only scenarios with TAG")
     p_show = scen_sub.add_parser("show", help="print one spec as JSON")
     p_show.add_argument("name")
-    p_run = scen_sub.add_parser("run", help="run scenarios by name")
+    p_run = scen_sub.add_parser(
+        "run", parents=[run_opts], help="run scenarios by name"
+    )
     p_run.add_argument("names", nargs="*", help="registry names (see list)")
     p_run.add_argument(
         "--all", action="store_true", help="run every registered scenario"
     )
     p_run.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (1 = in-process)"
-    )
-    p_run.add_argument(
         "--days", type=int, default=None,
         help="override every scenario's workload length (days)",
     )
-    p_run.add_argument(
-        "--engine",
-        choices=("twophase", "reference"),
-        default=None,
-        help="replay scheduling-policy scenarios on the event-driven "
-             "two-phase engine or its per-second reference (baseline "
-             "policies keep their engine)",
-    )
-    p_run.add_argument(
-        "--stats", action="store_true",
-        help="print replay statistics (segments, serving sets, batches)",
-    )
     p_run.add_argument("--csv", type=Path, default=None, help="dump series to DIR")
-    p_run.add_argument(
-        "--save", type=Path, default=None,
-        help="persist every run into a run store at DIR as it completes "
-             "(prints run ids)",
-    )
-    p_run.add_argument(
-        "--keep-going", action="store_true",
-        help="run every scenario even when some fail: survivors are "
-             "reported normally, failures go to stderr and the exit "
-             "code is 2",
-    )
-    p_run.add_argument(
-        "--resume", action="store_true",
-        help="skip scenarios whose results the --save store already "
-             "holds (checkpoint/resume; requires --save)",
-    )
-    p_run.add_argument(
-        "--retries", type=int, default=1, metavar="N",
-        help="attempts per scenario before it is declared failed "
-             "(default 1: no retry)",
-    )
-    p_run.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="per-chunk deadline in seconds with --jobs > 1 (hung "
-             "workers are detected, the pool resurrected, their work "
-             "retried)",
-    )
-    p_run.add_argument(
-        "--chunk-size", type=int, default=None, metavar="N",
-        help="cap fan-out chunks at N scenarios (finer dispatch/retry "
-             "granularity; shared-memory traces keep it cheap)",
-    )
-    p_run.add_argument(
-        "--no-shm", action="store_true",
-        help="disable shared-memory trace distribution (ship traces "
-             "by value per chunk instead)",
-    )
     p_diff = scen_sub.add_parser(
         "diff", help="compare two persisted runs (metrics, series, spec)"
     )
@@ -284,56 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the minted specs as a JSON list (from_dict-compatible)",
     )
     sw_run = sweep_sub.add_parser(
-        "run", help="run a whole grid through the suite runner"
+        "run", parents=[run_opts],
+        help="run a whole grid through the suite runner",
     )
     sw_run.add_argument("name")
     sw_run.add_argument(
         "--limit", type=int, default=None, metavar="N",
         help="only the first N grid points",
-    )
-    sw_run.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (1 = in-process)"
-    )
-    sw_run.add_argument(
-        "--save", type=Path, default=None,
-        help="persist every run into a run store at DIR as it completes",
-    )
-    sw_run.add_argument(
-        "--resume", action="store_true",
-        help="skip grid points the --save store already holds",
-    )
-    sw_run.add_argument(
-        "--keep-going", action="store_true",
-        help="run every grid point even when some fail (exit code 2)",
-    )
-    sw_run.add_argument(
-        "--retries", type=int, default=1, metavar="N",
-        help="attempts per scenario before it is declared failed",
-    )
-    sw_run.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="per-chunk deadline in seconds with --jobs > 1",
-    )
-    sw_run.add_argument(
-        "--chunk-size", type=int, default=None, metavar="N",
-        help="cap fan-out chunks at N scenarios",
-    )
-    sw_run.add_argument(
-        "--no-shm", action="store_true",
-        help="disable shared-memory trace distribution",
-    )
-    sw_run.add_argument(
-        "--engine",
-        choices=("twophase", "reference"),
-        default=None,
-        help="replay scheduling-policy grid points on the event-driven "
-             "two-phase engine or its per-second reference (baseline "
-             "policies keep their engine)",
-    )
-    sw_run.add_argument(
-        "--stats", action="store_true",
-        help="print replay statistics (segments, serving sets, batches, "
-             "per-phase wall time)",
     )
     sw_run.add_argument(
         "--baseline", default=None,
@@ -650,34 +611,74 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         raise SystemExit("scenario run: give scenario names or --all")
     if args.days is not None:
         specs = [spec.with_days(args.days) for spec in specs]
-    if args.engine is not None:
-        from dataclasses import replace as _replace
+    from .analysis.tables import render_suite
+    from .results import ScenarioResult, SuiteReport
 
+    def report_runs(runs, saved):
+        report = SuiteReport.from_runs(runs)
+        if report.results:
+            print(render_suite(report, title="scenario suite"))
+        if args.resume:
+            resumed = [r.name for r in runs if isinstance(r, ScenarioResult)]
+            if resumed:
+                print(
+                    "resumed from store (skipped): " + ", ".join(resumed)
+                )
+        for stored in saved:
+            print(f"saved {stored.run_id} -> {stored.path}")
+        if args.csv and report.results:
+            from .analysis.figures import suite_series
+
+            args.csv.mkdir(parents=True, exist_ok=True)
+            fig = suite_series(report)
+            write_csv(args.csv / "scenario_daily_energy.csv", fig.rows())
+            write_csv(args.csv / "scenario_summary.csv", report.rows())
+            print(f"series written to {args.csv}")
+        return report
+
+    return _run_suite_command(args, specs, "scenario run", report_runs)
+
+
+def _run_suite_command(
+    args: argparse.Namespace, specs, command: str, report_runs
+) -> int:
+    """The run path ``scenario run`` and ``sweep run`` share.
+
+    Applies ``--engine`` to the scheduling-policy specs, sets up the
+    ``--save``/``--resume`` store and the ``--retries``/``--timeout``
+    policy, and runs the suite.  Exit 130 when a signal stopped it (the
+    completed runs are checkpointed; ``--resume`` finishes the rest),
+    exit 1 on a failure ``run_suite`` could not degrade.  After
+    ``--stats``, ``report_runs(runs, saved)`` prints the command's own
+    report (``saved``: the store entries this run added) and returns
+    its :class:`~repro.results.SuiteReport`, whose failures go to
+    stderr with exit 2.
+    """
+    from dataclasses import replace
+
+    from . import scenarios
+    from .results import RunStore
+
+    if args.engine is not None:
         # Only scheduling policies replay on the event-driven simulator;
         # baselines (upper/lower bounds) have no machine-level replay.
-        engine = f"event-{args.engine}"
+        policies = ("bml", "transition-aware")
         unchanged = [
-            s.name
-            for s in specs
-            if s.scheduler.policy not in ("bml", "transition-aware")
+            s.name for s in specs if s.scheduler.policy not in policies
         ]
         if unchanged:
             print(
                 "--engine applies to scheduling-policy scenarios only; "
                 "unchanged: " + ", ".join(unchanged)
             )
+        engine = f"event-{args.engine}"
         specs = [
-            _replace(s, engine=engine)
-            if s.scheduler.policy in ("bml", "transition-aware")
-            else s
+            replace(s, engine=engine) if s.scheduler.policy in policies else s
             for s in specs
         ]
-    from .analysis.tables import render_suite
-    from .results import RunStore, ScenarioResult, SuiteReport
-
     store = RunStore(args.save) if args.save else None
     if args.resume and store is None:
-        raise SystemExit("scenario run: --resume requires --save DIR")
+        raise SystemExit(f"{command}: --resume requires --save DIR")
     retry = None
     if args.retries != 1 or args.timeout is not None:
         try:
@@ -685,7 +686,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
                 max_attempts=args.retries, timeout_s=args.timeout
             )
         except scenarios.ScenarioError as exc:
-            raise SystemExit(f"scenario run: {exc}")
+            raise SystemExit(f"{command}: {exc}")
     saved_before = {s.run_id for s in store.list()} if store else set()
     try:
         runs = scenarios.run_suite(
@@ -696,46 +697,29 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             store=store,
             resume=args.resume,
             chunk_size=args.chunk_size,
-            share_memory=not args.no_shm,
         )
     except scenarios.SuiteInterrupted as exc:
         # Graceful shutdown: completed scenarios are checkpointed, the
         # rest re-run under --resume.  130 = killed-by-signal exit.
-        print(f"scenario run: {exc}", file=sys.stderr)
+        print(f"{command}: {exc}", file=sys.stderr)
         return 130
     except Exception as exc:
         # Fatal: a failure run_suite could not degrade (keep_going off,
         # or infrastructure trouble).  Exit 1 with the message, not a
         # traceback.
         print(
-            f"scenario run failed: {type(exc).__name__}: {exc}",
-            file=sys.stderr,
+            f"{command} failed: {type(exc).__name__}: {exc}", file=sys.stderr
         )
         return 1
     if args.stats:
         _print_replay_stats([r.result for r in runs if hasattr(r, "result")])
         print()
-    report = SuiteReport.from_runs(runs)
-    if report.results:
-        print(render_suite(report, title="scenario suite"))
-    if args.resume:
-        resumed = [r.name for r in runs if isinstance(r, ScenarioResult)]
-        if resumed:
-            print(
-                "resumed from store (skipped): " + ", ".join(resumed)
-            )
-    if store:
-        for stored in store.list():
-            if stored.run_id not in saved_before:
-                print(f"saved {stored.run_id} -> {store.root / stored.run_id}")
-    if args.csv and report.results:
-        from .analysis.figures import suite_series
-
-        args.csv.mkdir(parents=True, exist_ok=True)
-        fig = suite_series(report)
-        write_csv(args.csv / "scenario_daily_energy.csv", fig.rows())
-        write_csv(args.csv / "scenario_summary.csv", report.rows())
-        print(f"series written to {args.csv}")
+    saved = (
+        [s for s in store.list() if s.run_id not in saved_before]
+        if store
+        else []
+    )
+    report = report_runs(runs, saved)
     if report.failures:
         print(
             render_table(
@@ -957,89 +941,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 0
     # run: the same execution/checkpoint path as `scenario run`
     from .analysis.tables import render_suite
-    from .results import RunStore, SuiteReport
+    from .results import SuiteReport
 
-    if args.engine is not None:
-        from dataclasses import replace as _replace
-
-        # Only scheduling policies replay on the event-driven simulator;
-        # baselines (upper/lower bounds) have no machine-level replay.
-        engine = f"event-{args.engine}"
-        unchanged = [
-            s.name
-            for s in specs
-            if s.scheduler.policy not in ("bml", "transition-aware")
-        ]
-        if unchanged:
-            print(
-                "--engine applies to scheduling-policy grid points only; "
-                "unchanged: " + ", ".join(unchanged)
-            )
-        specs = [
-            _replace(s, engine=engine)
-            if s.scheduler.policy in ("bml", "transition-aware")
-            else s
-            for s in specs
-        ]
-    store = RunStore(args.save) if args.save else None
-    if args.resume and store is None:
-        raise SystemExit("sweep run: --resume requires --save DIR")
-    retry = None
-    if args.retries != 1 or args.timeout is not None:
+    def report_runs(runs, saved):
         try:
-            retry = scenarios.RetryPolicy(
-                max_attempts=args.retries, timeout_s=args.timeout
-            )
-        except scenarios.ScenarioError as exc:
+            report = SuiteReport.from_runs(runs, baseline=args.baseline)
+        except ValueError as exc:
             raise SystemExit(f"sweep run: {exc}")
-    saved_before = {s.run_id for s in store.list()} if store else set()
-    try:
-        runs = scenarios.run_suite(
-            specs,
-            jobs=args.jobs,
-            keep_going=args.keep_going,
-            retry=retry,
-            store=store,
-            resume=args.resume,
-            chunk_size=args.chunk_size,
-            share_memory=not args.no_shm,
-        )
-    except scenarios.SuiteInterrupted as exc:
-        print(f"sweep run: {exc}", file=sys.stderr)
-        return 130
-    except Exception as exc:
-        print(
-            f"sweep run failed: {type(exc).__name__}: {exc}",
-            file=sys.stderr,
-        )
-        return 1
-    if args.stats:
-        _print_replay_stats([r.result for r in runs if hasattr(r, "result")])
-        print()
-    try:
-        report = SuiteReport.from_runs(runs, baseline=args.baseline)
-    except ValueError as exc:
-        raise SystemExit(f"sweep run: {exc}")
-    if report.results:
-        print(render_suite(report, title=f"sweep {sweep.name}"))
-    if args.facet:
-        _print_facets(report, args.facet)
-    if store:
-        saved = [
-            s.run_id for s in store.list() if s.run_id not in saved_before
-        ]
+        if report.results:
+            print(render_suite(report, title=f"sweep {sweep.name}"))
+        if args.facet:
+            _print_facets(report, args.facet)
         if saved:
-            print(f"saved {len(saved)} run(s) into {store.root}")
-    if report.failures:
-        print(
-            render_table(
-                report.failure_rows(),
-                title=f"failures ({len(report.failures)})",
-            ),
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+            print(f"saved {len(saved)} run(s) into {args.save}")
+        return report
+
+    return _run_suite_command(args, specs, "sweep run", report_runs)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -16,8 +16,10 @@ workload** (:func:`chunk_specs`), and trace distribution is
 once by the dispatcher, published as a named
 ``multiprocessing.shared_memory`` segment
 (:mod:`repro.workload.trace`), and mapped read-only by every worker —
-instead of being pickled per chunk or rebuilt per worker.  Parallel
-results are bit-identical to sequential ones — pinned by
+instead of being pickled per chunk or rebuilt per worker.  A host
+without a usable ``/dev/shm`` (``share_trace`` raising ``OSError``)
+gets the same single parent build pickled into each payload instead.
+Parallel results are bit-identical to sequential ones — pinned by
 ``tests/test_scenarios.py``.
 
 Fault tolerance (PR 7): the pool path is an ``apply_async`` dispatcher,
@@ -332,14 +334,12 @@ class RetryPolicy:
     ``timeout_s`` is the per-chunk deadline measured from dispatch (it
     must cover worker start-up under ``spawn``); retries back off
     exponentially (``backoff_s * backoff_factor**(retry - 1)``).
-    ``poll_interval_s`` paces the dispatcher's completion/liveness scan.
     """
 
     max_attempts: int = 3
     timeout_s: Optional[float] = None
     backoff_s: float = 0.05
     backoff_factor: float = 2.0
-    poll_interval_s: float = 0.02
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -350,8 +350,6 @@ class RetryPolicy:
             raise ScenarioError("backoff_s must be >= 0")
         if self.backoff_factor < 1:
             raise ScenarioError("backoff_factor must be >= 1")
-        if self.poll_interval_s <= 0:
-            raise ScenarioError("poll_interval_s must be > 0")
 
     def delay(self, retry: int) -> float:
         """Seconds to back off before retry number ``retry`` (1-based)."""
@@ -363,6 +361,10 @@ class RetryPolicy:
 #: Legacy semantics for ``run_suite(retry=None)``: one attempt, no
 #: deadline — failures surface immediately, nothing silently re-runs.
 _NO_RETRY = RetryPolicy(max_attempts=1, backoff_s=0.0)
+
+#: Seconds the dispatcher sleeps when a completion/liveness scan found
+#: nothing to harvest.
+_POLL_INTERVAL_S = 0.02
 
 #: The outcomes ``run_suite`` can place at a spec's slot: a live run, a
 #: stored record (resumed from a checkpoint), or a terminal failure.
@@ -510,15 +512,6 @@ def _init_worker(
     _install_shared(trace, infra, fault_plan)
 
 
-def _run_worker(spec: ScenarioSpec) -> ScenarioRun:
-    """Pool worker: specs in, ScenarioRuns out (both picklable)."""
-    return run_scenario(
-        spec,
-        trace=_WORKER_SHARED.get("trace"),
-        infra=_WORKER_SHARED.get("infra"),
-    )
-
-
 def _workload_key(spec: ScenarioSpec) -> Tuple[WorkloadSpec, int]:
     """The trace-cache key a scenario's workload resolves to."""
     return (spec.workload, spec.workload.resolved_days())
@@ -653,7 +646,7 @@ def _run_chunk_guarded(payload):
     return out, stats
 
 
-def _make_pool(ctx, processes, trace, infra, share_memory=True):
+def _make_pool(ctx, processes, trace, infra):
     """A worker pool with the shared overrides installed fork-aware.
 
     Under the ``fork`` start method the children inherit the parent's
@@ -662,10 +655,10 @@ def _make_pool(ctx, processes, trace, infra, share_memory=True):
     Instead the overrides are installed into the parent's module global
     *before* the fork and restored after — the children keep their
     inherited copy.  ``spawn``/``forkserver`` children start from a
-    fresh interpreter; with ``share_memory`` a trace override is
-    published once in a shared-memory segment and only the handle rides
-    the initargs pipe (each worker maps the same pages), otherwise the
-    trace is pickled per worker.
+    fresh interpreter: a trace override is published once in a
+    shared-memory segment and only the handle rides the initargs pipe
+    (each worker maps the same pages); without a usable ``/dev/shm``
+    the trace is pickled per worker instead.
 
     Returns ``(pool, cleanup)``; callers must run ``cleanup()`` after
     closing the pool (it undoes the parent-side global mutation and
@@ -689,21 +682,18 @@ def _make_pool(ctx, processes, trace, infra, share_memory=True):
     handle = None
     shipped = trace
     if trace is not None:
-        if share_memory:
-            try:
-                handle = share_trace(trace)
-                shipped = handle
-                _FANOUT_STATS["segments_shared"] += 1
-                # without the segment every spawned worker would have
-                # received its own pickled copy through initargs
-                _FANOUT_STATS["bytes_pickle_avoided"] += (
-                    trace.values.nbytes * processes
-                )
-            except OSError:  # no usable /dev/shm: fall back to pickling
-                handle = None
-                shipped = trace
-        if handle is None:
+        try:
+            handle = share_trace(trace)
+        except OSError:  # no usable /dev/shm: fall back to pickling
             _FANOUT_STATS["bytes_shipped"] += trace.values.nbytes * processes
+        else:
+            shipped = handle
+            _FANOUT_STATS["segments_shared"] += 1
+            # without the segment every spawned worker would have
+            # received its own pickled copy through initargs
+            _FANOUT_STATS["bytes_pickle_avoided"] += (
+                trace.values.nbytes * processes
+            )
     pool = ctx.Pool(
         processes=processes,
         initializer=_init_worker,
@@ -864,7 +854,6 @@ def _dispatch_chunks(
     keep_going: bool,
     store,
     outcomes: List[Optional[SuiteOutcome]],
-    share_memory: bool = True,
     stopped: Optional[Callable[[], Optional[int]]] = None,
 ) -> List[Tuple[int, FailedRun, Optional[BaseException]]]:
     """The ``apply_async`` dispatcher behind the pool path of
@@ -874,18 +863,18 @@ def _dispatch_chunks(
     ``store``) as they land; the return value is the terminal failures
     as ``(spec_index, FailedRun, carried_exception)``.
 
-    Trace distribution (``share_memory``, the default): any workload
-    split across several chunks — or already built in the parent — is
-    built **once**, published in a shared-memory segment
-    (:func:`repro.workload.trace.share_trace`), and referenced by handle
-    in every chunk payload; workers map the same physical pages instead
-    of unpickling or rebuilding the arrays.  Workloads confined to one
-    chunk are left for their worker to build (still exactly one build).
-    Segments are owned by this process and released in the ``finally``
-    below — they survive pool resurrection (retried chunks re-ship the
-    same handle) but never survive the dispatcher, even on error.
-    ``share_memory=False`` keeps the per-chunk by-value shipping path
-    (the ``perf-sweep`` benchmark's reference).
+    Trace distribution: any workload split across several chunks — or
+    already built in the parent — is built **once**, published in a
+    shared-memory segment (:func:`repro.workload.trace.share_trace`),
+    and referenced by handle in every chunk payload; workers map the
+    same physical pages instead of unpickling or rebuilding the arrays.
+    When ``share_trace`` raises ``OSError`` (no usable ``/dev/shm``),
+    the parent-built trace is pickled into each payload instead — still
+    one build.  Workloads confined to one chunk are left for their
+    worker to build (still exactly one build).  Segments are owned by
+    this process and released in the ``finally`` below — they survive
+    pool resurrection (retried chunks re-ship the same handle) but never
+    survive the dispatcher, even on error.
 
     Recovery policy:
 
@@ -907,8 +896,6 @@ def _dispatch_chunks(
       fail; no innocent ever burns an attempt on a neighbour's crash.
     """
     fork = ctx.get_start_method() == "fork"
-    share = share_memory and trace is None
-    ship = trace is None and not fork and not share
     pending = deque(_Task(chunk) for chunk in chunks)
     inflight: List[list] = []  # [task, async_result, deadline]
     first_seen: Dict[int, float] = {}
@@ -928,43 +915,32 @@ def _dispatch_chunks(
 
     def payload_for(task: _Task):
         # Trace distribution: each workload travels at most once per
-        # host.  ``share`` publishes it as a named segment and ships the
-        # handle with every chunk; ``ship`` (legacy) pickles any parent-
-        # built trace into the payload; under plain ``fork`` the
-        # children inherit the parent's cache copy-on-write.
+        # host, as a named segment whose handle ships with every chunk
+        # (pickled by value when /dev/shm is unusable); under plain
+        # ``fork`` the children inherit the parent's cache copy-on-write.
         prebuilt = {}
         if trace is None:  # a shared override supersedes per-spec traces
             for i in task.indices:
                 key = _workload_key(specs[i])
-                if key in prebuilt:
+                if key in prebuilt or key in inherited:
                     continue
-                if share:
-                    if key in inherited:
-                        continue
-                    handle = shared_handles.get(key)
-                    if handle is None and (
-                        pieces_per_key.get(key, 0) > 1 or key in _TRACE_CACHE
-                    ):
-                        built = _trace_for(specs[i].workload)
-                        try:
-                            handle = share_trace(built)
-                        except OSError:  # no /dev/shm: ship by value
-                            prebuilt[key] = built
-                            _FANOUT_STATS["bytes_shipped"] += (
-                                built.values.nbytes
-                            )
-                            continue
-                        shared_handles[key] = handle
-                        _FANOUT_STATS["segments_shared"] += 1
-                    if handle is not None:
-                        prebuilt[key] = handle
-                        _FANOUT_STATS["handles_shipped"] += 1
-                        _FANOUT_STATS["bytes_pickle_avoided"] += handle.nbytes
-                elif ship:
-                    built = _TRACE_CACHE.get(key)
-                    if built is not None:
+                handle = shared_handles.get(key)
+                if handle is None and (
+                    pieces_per_key.get(key, 0) > 1 or key in _TRACE_CACHE
+                ):
+                    built = _trace_for(specs[i].workload)
+                    try:
+                        handle = share_trace(built)
+                    except OSError:  # no /dev/shm: ship by value
                         prebuilt[key] = built
                         _FANOUT_STATS["bytes_shipped"] += built.values.nbytes
+                        continue
+                    shared_handles[key] = handle
+                    _FANOUT_STATS["segments_shared"] += 1
+                if handle is not None:
+                    prebuilt[key] = handle
+                    _FANOUT_STATS["handles_shipped"] += 1
+                    _FANOUT_STATS["bytes_pickle_avoided"] += handle.nbytes
         return ([(i, specs[i]) for i in task.indices], prebuilt, task.attempt)
 
     def charge(
@@ -1044,7 +1020,7 @@ def _dispatch_chunks(
                     )
         return bool(done)
 
-    pool, cleanup = _make_pool(ctx, pool_size, trace, infra, share_memory)
+    pool, cleanup = _make_pool(ctx, pool_size, trace, infra)
     pids = _pool_pids(pool)
     if fork:
         inherited = set(_TRACE_CACHE)
@@ -1053,7 +1029,7 @@ def _dispatch_chunks(
         nonlocal pool, cleanup, pids, inherited
         _teardown_pool(pool)
         cleanup()
-        pool, cleanup = _make_pool(ctx, pool_size, trace, infra, share_memory)
+        pool, cleanup = _make_pool(ctx, pool_size, trace, infra)
         pids = _pool_pids(pool)
         if fork:
             inherited = set(_TRACE_CACHE)
@@ -1140,7 +1116,7 @@ def _dispatch_chunks(
                     break
                 continue
             if not progressed and (pending or inflight):
-                time.sleep(policy.poll_interval_s)
+                time.sleep(_POLL_INTERVAL_S)
     finally:
         _teardown_pool(pool)
         cleanup()
@@ -1157,34 +1133,28 @@ def run_suite(
     jobs: int = 1,
     trace: Optional[LoadTrace] = None,
     infra: Optional[BMLInfrastructure] = None,
-    chunked: bool = True,
     start_method: Optional[str] = None,
     keep_going: bool = False,
     retry: Optional[RetryPolicy] = None,
     store=None,
     resume: bool = False,
     chunk_size: Optional[int] = None,
-    share_memory: bool = True,
 ) -> List[SuiteOutcome]:
     """Run many scenarios, optionally fanned out over worker processes.
 
     ``jobs=1`` runs in-process (sharing this process's caches);
-    ``jobs>1`` uses a ``multiprocessing`` pool.  With ``chunked=True``
-    (default) the specs are partitioned by workload (:func:`chunk_specs`)
-    into one task per workload piece (``chunk_size`` caps the piece size
-    for finer dispatch/retry granularity), and each workload's trace is
-    distributed **at most once per host**: with ``share_memory`` (the
-    default) any workload spanning several chunks is built once by the
-    dispatcher, published as a ``multiprocessing.shared_memory``
-    segment, and mapped zero-copy by every worker that needs it —
-    fan-out cost no longer scales with worker or chunk count.
-    ``share_memory=False`` keeps the by-value path (traces pickled per
-    chunk payload under ``spawn``) — the reference the ``perf-sweep``
-    benchmark group measures against.  ``chunked=False`` keeps the PR 3
-    per-spec task scheduling — the ``perf-suite`` reference (it does not
-    support the fault-tolerance options below).  Results come back in
-    input order and are bit-identical across all modes: scenarios are
-    independent, every worker runs the same deterministic code path,
+    ``jobs>1`` uses a ``multiprocessing`` pool.  The specs are
+    partitioned by workload (:func:`chunk_specs`) into one task per
+    workload piece (``chunk_size`` caps the piece size for finer
+    dispatch/retry granularity), and each workload's trace is
+    distributed **at most once per host**: any workload spanning several
+    chunks is built once by the dispatcher, published as a
+    ``multiprocessing.shared_memory`` segment, and mapped zero-copy by
+    every worker that needs it — fan-out cost no longer scales with
+    worker or chunk count.  Without a usable ``/dev/shm`` the parent
+    build is pickled into each chunk payload instead.  Results come
+    back in input order and are bit-identical to ``jobs=1``: scenarios
+    are independent, every worker runs the same deterministic code path,
     and a shared-memory attach yields the same float64 arrays a local
     build would.  ``trace``/``infra`` are shared overrides applied to
     *every* scenario (callers that already built the workload pass it
@@ -1217,15 +1187,6 @@ def run_suite(
         raise ScenarioError("jobs must be >= 1")
     if resume and store is None:
         raise ScenarioError("resume=True requires a store")
-    if not chunked and (keep_going or retry is not None or store is not None):
-        raise ScenarioError(
-            "chunked=False (the per-spec reference path) does not support "
-            "keep_going/retry/store"
-        )
-    if not chunked and chunk_size is not None:
-        raise ScenarioError(
-            "chunk_size only applies to the chunked dispatcher"
-        )
     policy = retry if retry is not None else _NO_RETRY
     outcomes: List[Optional[SuiteOutcome]] = [None] * len(specs)
     if resume:
@@ -1261,16 +1222,6 @@ def run_suite(
     import multiprocessing
 
     ctx = multiprocessing.get_context(start_method)
-    if not chunked:
-        pool, cleanup = _make_pool(
-            ctx, min(jobs, len(specs)), trace, infra, share_memory=False
-        )
-        try:
-            with pool:
-                return pool.map(_run_worker, specs)
-        finally:
-            cleanup()
-
     sub = [specs[i] for i in todo]
     jobs = min(jobs, len(todo))
     local_chunks = chunk_specs(sub, jobs, chunk_size)
@@ -1288,7 +1239,6 @@ def run_suite(
             keep_going,
             store,
             outcomes,
-            share_memory=share_memory,
             stopped=stopped,
         )
     if failures and not keep_going:

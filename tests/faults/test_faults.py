@@ -236,8 +236,6 @@ class TestSequentialRecovery:
         specs = _suite(2)
         with pytest.raises(ScenarioError, match="requires a store"):
             scenarios.run_suite(specs, resume=True)
-        with pytest.raises(ScenarioError, match="chunked=False"):
-            scenarios.run_suite(specs, jobs=2, chunked=False, keep_going=True)
 
 
 # ---------------------------------------------------------------------------

@@ -455,13 +455,14 @@ class TestDeferredLedgerProperty:
 
 
 class TestStackedSettleProperty:
-    """PR 9: the multi-machine stacked ledger settle.
+    """The multi-machine ledger settle.
 
-    ``_flush_all`` settles every pending stream through one stacked 2-D
-    cumsum (or a buffer-reusing ragged fallback); the property pins it
-    bitwise against the per-machine ``_flush`` chain under interleaved
-    gather windows and scalar transitions across several machines,
-    journaled through ``record_batch_windows``.
+    ``finalize`` settles every pending stream through ``_flush_all``, a
+    loop over the per-machine ``_flush`` (each stream block-folded on
+    its own); the property pins it bitwise against explicit per-machine
+    ``_flush`` calls made before ``finalize``, under interleaved gather
+    windows and scalar transitions across several machines, journaled
+    through ``record_batch_windows``.
     """
 
     @settings(max_examples=30, deadline=None)
@@ -502,8 +503,8 @@ class TestStackedSettleProperty:
         for meter in (stacked, separate):
             _batch_windows(meter, journal)
         end = max(t.values()) + 5
-        # One meter settles machine-by-machine through the scalar-chain
-        # flush; the other goes through the stacked multi-machine path.
+        # One meter settles machine-by-machine through explicit
+        # ``_flush`` calls; the other through ``finalize``'s ``_flush_all``.
         for mid in mids:
             separate._flush(mid)
         separate.finalize(end)

@@ -444,6 +444,27 @@ class TestScenarioRunFaultTolerance:
         captured = capsys.readouterr()
         assert "scenario run failed: InjectedFault" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenario", "run", "pattern-steady", "--days", "1"],
+            ["sweep", "run", "grid-smoke", "--limit", "2"],
+        ],
+        ids=["scenario", "sweep"],
+    )
+    def test_interrupted_suite_exits_130(self, capsys, monkeypatch, argv):
+        import signal
+
+        from repro import scenarios
+
+        def interrupted(specs, **kwargs):
+            raise scenarios.SuiteInterrupted(signal.SIGTERM, 0, len(specs))
+
+        monkeypatch.setattr(scenarios, "run_suite", interrupted)
+        assert main(argv) == 130
+        err = capsys.readouterr().err
+        assert f"{argv[0]} run: suite interrupted by SIGTERM" in err
+
     def test_all_clean_exits_0(self, capsys):
         assert (
             main(["scenario", "run", "pattern-steady", "--days", "1"]) == 0
@@ -604,6 +625,30 @@ class TestSweepCLI:
         stored = sorted(p.name for p in store.iterdir())
         assert len(stored) == 4
         assert any("cli-test-grid+policy=bml+seed=1" in s for s in stored)
+
+    def test_run_keep_going_exits_2_else_fatal_exits_1(
+        self, capsys, tiny_sweep
+    ):
+        from repro import faults
+
+        poisoned = "cli-test-grid+policy=bml+seed=1"
+        plan = faults.FaultPlan(
+            faults=(
+                faults.Fault(
+                    "spec-error", poisoned, fail_attempts=faults.ALWAYS
+                ),
+            )
+        )
+        with faults.injected(plan):
+            code = main(["sweep", "run", "cli-test-grid", "--keep-going"])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert "cli-test-grid+policy=bml+seed=2" in captured.out
+            assert "failures (1)" in captured.err
+            assert "InjectedFault" in captured.err
+            assert poisoned in captured.err
+            assert main(["sweep", "run", "cli-test-grid"]) == 1
+        assert "sweep run failed: InjectedFault" in capsys.readouterr().err
 
     def test_run_resume_requires_save(self, tiny_sweep):
         with pytest.raises(SystemExit, match="--resume requires"):

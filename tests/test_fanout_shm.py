@@ -5,7 +5,9 @@ arrays **at most once per host** — one parent build published as a
 shared-memory segment, zero worker rebuilds for any workload spanning
 several chunks — and replaying from the attached segment is
 bit-identical to the in-process replay.  After the suite, no
-``/dev/shm`` segment survives.
+``/dev/shm`` segment survives.  On a host without a usable ``/dev/shm``
+(``share_trace`` raising ``OSError``) the same single build ships by
+value instead.
 
 Fork runs are quick-marked; spawn pays interpreter start-up per worker
 so it rides only in the full suite.
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro import scenarios
-from repro.scenarios import fanout_stats
+from repro.scenarios import fanout_stats, runner
 from repro.workload.trace import SHM_PREFIX, shm_stats
 
 START_METHODS = [
@@ -35,6 +37,11 @@ def _skip_unless_available(start_method):
 
 def _shm_entries():
     return glob.glob(f"/dev/shm/{SHM_PREFIX}*")
+
+
+def _shm_unavailable(trace):
+    """``share_trace`` on a host without a usable ``/dev/shm``."""
+    raise OSError("no usable /dev/shm")
 
 
 def _shared_workload_suite(n):
@@ -119,24 +126,46 @@ class TestSharedMemoryFanout:
         assert stats["segments_shared"] == 0
         assert not _shm_entries()
 
-    def test_share_memory_off_is_the_byvalue_reference(self, start_method):
+    def test_without_shm_the_trace_ships_by_value(
+        self, start_method, monkeypatch
+    ):
         _skip_unless_available(start_method)
         specs = _shared_workload_suite(3)
         reference = _digest(scenarios.run_suite(specs, jobs=1))
         scenarios.clear_caches()
+        monkeypatch.setattr(runner, "share_trace", _shm_unavailable)
         before = fanout_stats()
         out = scenarios.run_suite(
-            specs,
-            jobs=2,
-            start_method=start_method,
-            chunk_size=1,
-            share_memory=False,
+            specs, jobs=2, start_method=start_method, chunk_size=1
         )
         stats = {k: v - before[k] for k, v in fanout_stats().items()}
         assert _digest(out) == reference
-        assert stats["segments_shared"] == 0
-        assert stats["handles_shipped"] == 0
+        # still one build, in the dispatcher: the trace rides each
+        # payload by value instead of as a segment handle
+        assert stats["trace_builds"] == 1
+        assert stats["worker_trace_builds"] == 0
+        assert stats["segments_shared"] == stats["handles_shipped"] == 0
+        assert stats["bytes_shipped"] > 0
         assert not _shm_entries()
+
+
+def test_without_shm_a_trace_override_ships_through_initargs(monkeypatch):
+    """Spawned workers get a ``trace=`` override pickled per worker."""
+    _skip_unless_available("spawn")
+    specs = _shared_workload_suite(3)
+    trace = specs[0].workload.build()
+    reference = _digest(scenarios.run_suite(specs, jobs=1, trace=trace))
+    monkeypatch.setattr(runner, "share_trace", _shm_unavailable)
+    before = fanout_stats()
+    out = scenarios.run_suite(
+        specs, jobs=2, trace=trace, start_method="spawn", chunk_size=1
+    )
+    stats = {k: v - before[k] for k, v in fanout_stats().items()}
+    assert _digest(out) == reference
+    assert stats["worker_trace_builds"] == 0
+    assert stats["segments_shared"] == stats["handles_shipped"] == 0
+    assert stats["bytes_shipped"] == 2 * trace.values.nbytes
+    assert not _shm_entries()
 
 
 @pytest.mark.quick
@@ -145,11 +174,6 @@ class TestChunkSizeValidation:
         specs = _shared_workload_suite(2)
         with pytest.raises(scenarios.ScenarioError, match="chunk_size"):
             scenarios.run_suite(specs, jobs=2, chunk_size=0)
-
-    def test_chunk_size_requires_chunked(self):
-        specs = _shared_workload_suite(2)
-        with pytest.raises(scenarios.ScenarioError, match="chunk"):
-            scenarios.run_suite(specs, jobs=2, chunked=False, chunk_size=1)
 
     def test_chunk_size_caps_piece_sizes(self):
         specs = _shared_workload_suite(5)

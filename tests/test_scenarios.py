@@ -275,7 +275,7 @@ class TestChunkedFanOut:
             specs, 3
         )
 
-    def test_chunked_and_legacy_match_sequential(self):
+    def test_chunked_matches_sequential(self):
         specs = [
             scenarios.get(n).with_days(1)
             for n in (
@@ -287,14 +287,12 @@ class TestChunkedFanOut:
         ]
         seq = scenarios.run_suite(specs, jobs=1)
         chunked = scenarios.run_suite(specs, jobs=2)
-        legacy = scenarios.run_suite(specs, jobs=2, chunked=False)
-        for a, b, c in zip(seq, chunked, legacy):
-            assert a.name == b.name == c.name
+        for a, b in zip(seq, chunked):
+            assert a.name == b.name
             assert np.array_equal(a.result.power, b.result.power)
-            assert np.array_equal(a.result.power, c.result.power)
             assert np.array_equal(a.result.unserved, b.result.unserved)
             assert a.result.switch_energy == b.result.switch_energy
-            assert b.result.meta == c.result.meta
+            assert a.result.meta == b.result.meta
 
     def test_prewarmed_parent_cache_ships_bit_identical_results(self):
         specs = [
