@@ -116,9 +116,9 @@ def _suite_run_options() -> argparse.ArgumentParser:
     )
     opts.add_argument(
         "--timeout", type=float, default=None, metavar="S",
-        help="per-chunk deadline in seconds with --jobs > 1 (hung "
-             "workers are detected, the pool resurrected, their work "
-             "retried)",
+        help="per-chunk deadline in seconds with --jobs > 1 (a hung "
+             "worker is killed and replaced; the scenario it was running "
+             "is charged an attempt, the chunk's unstarted ones rerun)",
     )
     opts.add_argument(
         "--chunk-size", type=int, default=None, metavar="N",

@@ -3,9 +3,10 @@
 Fleet-scale sweeps and long-running drivers turn worker failure from an
 anomaly into a statistical certainty, and recovery paths that are never
 exercised rot.  This module gives the runner and the results store a
-*plan-driven* failure model so every recovery path — retry, pool
-resurrection, chunk splitting, checkpoint resume, store quarantine — can
-be proven by tests instead of waited for in production.
+*plan-driven* failure model so every recovery path — retry, worker
+replacement, exact blame inside a chunk, checkpoint resume, store
+quarantine — can be proven by tests instead of waited for in
+production.
 
 Design rules:
 
@@ -17,9 +18,10 @@ Design rules:
   ``fail_attempts``: a fault fires while ``attempt < fail_attempts``, so
   ``fail_attempts=1`` fails the first attempt and lets the retry
   succeed.
-* **Process-portable.**  Plans are small frozen dataclasses: they pickle
-  through pool ``initargs`` under ``spawn`` and are inherited by forked
-  workers, so parent and workers agree on the failure schedule.
+* **Process-portable.**  Plans are small frozen dataclasses: they reach
+  every suite worker as a process argument (pickled under ``spawn``,
+  inherited in memory under ``fork``), so parent and workers agree on
+  the failure schedule.
 
 Injection sites (``SITES``):
 
@@ -28,10 +30,10 @@ Injection sites (``SITES``):
     transient/persistent exception model); keyed by spec name.
 ``worker-crash``
     ``os._exit`` the worker process mid-chunk (an OOM kill / segfault
-    stand-in); keyed by spec name.  Only armed inside pool workers.
+    stand-in); keyed by spec name.  Only armed inside suite workers.
 ``worker-hang``
     Sleep ``hang_s`` seconds (a stuck worker); keyed by spec name.
-    Only armed inside pool workers.
+    Only armed inside suite workers.
 ``corrupt-result``
     Truncate ``result.json`` after a :class:`~repro.results.store.RunStore`
     save (a torn write); keyed by scenario name.  Passive: consulted via
@@ -127,8 +129,8 @@ class InjectedFault(RuntimeError):
     def __reduce__(self):
         # RuntimeError's default reduce replays ``args`` (the formatted
         # message) into ``__init__``, whose signature differs — an
-        # unpicklable-on-arrival exception would kill the pool's result
-        # thread, the very failure mode this module exists to test.
+        # exception that fails to unpickle on arrival would abort the
+        # suite's dispatcher instead of reaching the spec's outcome.
         return (InjectedFault, (self.site, self.key, self.attempt))
 
 
@@ -215,8 +217,8 @@ _ACTIVE: Optional[FaultPlan] = None
 
 
 def install(plan: FaultPlan) -> None:
-    """Arm ``plan`` for this process (workers inherit/receive it via the
-    pool, see :mod:`repro.scenarios.runner`)."""
+    """Arm ``plan`` for this process (suite workers receive it as a
+    process argument and install it, see :mod:`repro.scenarios.runner`)."""
     global _ACTIVE
     _ACTIVE = plan
 

@@ -8,13 +8,12 @@ combination-table cache), builds the plan its policy describes, replays
 it on the requested engine, and wraps everything in a
 :class:`ScenarioRun`.
 
-:func:`run_suite` fans a list of specs out over a ``multiprocessing``
-pool (``jobs`` worker processes; ``jobs=1`` stays in-process), returning
-the per-scenario results in input order.  Fan-out is **chunked by
-workload** (:func:`chunk_specs`), and trace distribution is
-**zero-copy** (PR 8): each workload spanning several chunks is built
-once by the dispatcher, published as a named
-``multiprocessing.shared_memory`` segment
+:func:`run_suite` fans a list of specs out over ``jobs`` owned worker
+processes (``jobs=1`` stays in-process), returning the per-scenario
+results in input order.  Fan-out is **chunked by workload**
+(:func:`chunk_specs`), and trace distribution is **zero-copy**: each
+workload spanning several chunks is built once by the dispatcher,
+published as a named ``multiprocessing.shared_memory`` segment
 (:mod:`repro.workload.trace`), and mapped read-only by every worker —
 instead of being pickled per chunk or rebuilt per worker.  A host
 without a usable ``/dev/shm`` (``share_trace`` raising ``OSError``)
@@ -22,11 +21,11 @@ gets the same single parent build pickled into each payload instead.
 Parallel results are bit-identical to sequential ones — pinned by
 ``tests/test_scenarios.py``.
 
-Fault tolerance (PR 7): the pool path is an ``apply_async`` dispatcher,
-not a blind ``pool.map``.  Each chunk carries a deadline, crashed
-workers are detected and the pool resurrected, failed work retries with
-exponential backoff under a :class:`RetryPolicy` (multi-spec chunks are
-split on retry so one poisoned spec cannot condemn its chunk-mates), and
+Fault tolerance: every worker runs on its own pipe and replies once
+per spec, so a crashed worker or an expired chunk deadline is charged
+to exactly the spec that worker was running; only that worker is
+replaced, while the others keep running.  Failed work retries with
+exponential backoff under a :class:`RetryPolicy`, and
 ``keep_going=True`` turns the first-error-aborts contract into per-spec
 outcomes (:class:`ScenarioRun` or :class:`FailedRun`, in input order).
 ``store=``/``resume=`` checkpoint every completed result through a
@@ -39,7 +38,6 @@ from __future__ import annotations
 
 import os as _os
 import signal as _signal
-import threading as _threading
 import time
 import traceback as _traceback
 from collections import OrderedDict, deque
@@ -94,7 +92,7 @@ _TRACE_CACHE_MAX = 4
 
 
 #: Trace-distribution telemetry (cumulative, this process).  The
-#: ``worker_trace_builds`` counter aggregates the builds pool workers
+#: ``worker_trace_builds`` counter aggregates the builds suite workers
 #: reported back — the figure the shared-memory path drives to zero for
 #: every workload the dispatcher published.
 _FANOUT_STATS: Dict[str, int] = {
@@ -297,22 +295,31 @@ class SuiteInterrupted(ScenarioError):
 
 @contextmanager
 def _graceful_stop():
-    """Convert SIGTERM/SIGINT into a polled stop flag for the suite.
+    """Convert SIGTERM/SIGINT into a stop flag the suite polls and waits on.
 
     Yields a callable returning the received signal number (or ``None``).
-    The first signal requests a graceful stop — in-flight work finishes
-    and completed results are flushed; a second signal escalates to an
-    immediate :class:`KeyboardInterrupt`.  Outside the main thread (or
-    a non-Unix oddity) signals cannot be hooked; the suite then simply
-    runs unguarded.
+    Its ``fileno()`` is the read end of a self-pipe the handler writes
+    to, so a dispatcher blocked in ``multiprocessing.connection.wait``
+    wakes the moment the signal lands.  The first signal requests a
+    graceful stop — completed results are flushed; a second signal
+    escalates to an immediate :class:`KeyboardInterrupt`.  Outside the
+    main thread (or a non-Unix oddity) signals cannot be hooked; the
+    suite then simply runs unguarded.
     """
     state = {"signum": None}
+    wake_r, wake_w = _os.pipe()
+    _os.set_blocking(wake_w, False)
 
     def handler(signum, frame):
         if state["signum"] is not None:
             raise KeyboardInterrupt
         state["signum"] = signum
+        _os.write(wake_w, b"\0")
 
+    def stopped() -> Optional[int]:
+        return state["signum"]
+
+    stopped.fileno = lambda: wake_r
     previous = {}
     try:
         for sig in (_signal.SIGTERM, _signal.SIGINT):
@@ -320,10 +327,12 @@ def _graceful_stop():
     except ValueError:  # not the main thread
         previous = {}
     try:
-        yield lambda: state["signum"]
+        yield stopped
     finally:
         for sig, old in previous.items():
             _signal.signal(sig, old)
+        _os.close(wake_r)
+        _os.close(wake_w)
 
 
 @dataclass(frozen=True)
@@ -362,9 +371,8 @@ class RetryPolicy:
 #: deadline — failures surface immediately, nothing silently re-runs.
 _NO_RETRY = RetryPolicy(max_attempts=1, backoff_s=0.0)
 
-#: Seconds the dispatcher sleeps when a completion/liveness scan found
-#: nothing to harvest.
-_POLL_INTERVAL_S = 0.02
+#: ``FailedRun.message`` of a spec whose worker process died under it.
+_DIED = "worker process died mid-chunk"
 
 #: The outcomes ``run_suite`` can place at a spec's slot: a live run, a
 #: stored record (resumed from a checkpoint), or a terminal failure.
@@ -467,49 +475,9 @@ def run_scenario(
     )
 
 
-#: Per-worker shared overrides, shipped once at pool start (pickling a
-#: 60 MB trace per *task* would dwarf the work being parallelised).
+#: Per-worker shared overrides, installed once at worker start (pickling
+#: a 60 MB trace per *task* would dwarf the work being parallelised).
 _WORKER_SHARED: Dict[str, object] = {}
-
-
-def _reset_worker_signals() -> None:
-    """Child-side: restore kill-able signal dispositions.
-
-    Forked workers inherit the parent's handlers — including the suite's
-    graceful SIGTERM/SIGINT handler when ``run_suite`` installed one.  A
-    worker that treats SIGTERM as "set a flag" can no longer be killed
-    by ``Pool.terminate()``, which deadlocks the dispatcher's cleanup.
-    Workers must die on SIGTERM and leave SIGINT to the dispatcher.
-    """
-    try:
-        _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
-        _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
-    except ValueError:  # pragma: no cover - non-main-thread initializer
-        pass
-
-
-def _install_shared(
-    trace: Optional[Union[LoadTrace, SharedTraceHandle]],
-    infra: Optional[BMLInfrastructure],
-    fault_plan: Optional[faults.FaultPlan] = None,
-) -> None:
-    """Install the worker-shared overrides (parent- or child-side)."""
-    if isinstance(trace, SharedTraceHandle):
-        trace = attach_trace(trace)
-    _WORKER_SHARED["trace"] = trace
-    _WORKER_SHARED["infra"] = infra
-    if fault_plan is not None:
-        faults.install(fault_plan)
-
-
-def _init_worker(
-    trace: Optional[Union[LoadTrace, SharedTraceHandle]],
-    infra: Optional[BMLInfrastructure],
-    fault_plan: Optional[faults.FaultPlan] = None,
-) -> None:
-    """Pool initializer for spawn/forkserver children."""
-    _reset_worker_signals()
-    _install_shared(trace, infra, fault_plan)
 
 
 def _workload_key(spec: ScenarioSpec) -> Tuple[WorkloadSpec, int]:
@@ -584,9 +552,9 @@ def _spec_outcome(
 
         try:
             # Full round trip: an exception that *dumps* but fails to
-            # *load* (mismatched __init__ signature) would kill the
-            # pool's result-handler thread on arrival and hang the
-            # suite, so it must be degraded to strings right here.
+            # *load* (mismatched __init__ signature) would fail on
+            # arrival in the dispatcher and abort the suite, so it must
+            # be degraded to strings right here.
             pickle.loads(pickle.dumps(exc))
             carried: Optional[BaseException] = exc
         except Exception:
@@ -604,7 +572,7 @@ def _spec_outcome(
 
 
 def _run_chunk_guarded(payload):
-    """Pool worker for one chunk: pre-warm caches, run specs in order.
+    """Run a chunk's specs in this worker: pre-warm caches, run in order.
 
     ``payload`` is ``(pairs, prebuilt, attempt)``: the chunk's
     ``(index, spec)`` pairs, the traces the dispatcher distributed for
@@ -646,156 +614,77 @@ def _run_chunk_guarded(payload):
     return out, stats
 
 
-def _make_pool(ctx, processes, trace, infra):
-    """A worker pool with the shared overrides installed fork-aware.
+def _worker_main(
+    conn,
+    trace: Optional[Union[LoadTrace, SharedTraceHandle]],
+    infra: Optional[BMLInfrastructure],
+    fault_plan: Optional[faults.FaultPlan],
+) -> None:
+    """Body of one suite worker process: serve chunks, reply per spec.
 
-    Under the ``fork`` start method the children inherit the parent's
-    memory copy-on-write, so serialising ``trace``/``infra`` through the
-    pool's ``initargs`` pipe is pure waste (an 87-day trace is ~60 MB).
-    Instead the overrides are installed into the parent's module global
-    *before* the fork and restored after — the children keep their
-    inherited copy.  ``spawn``/``forkserver`` children start from a
-    fresh interpreter: a trace override is published once in a
-    shared-memory segment and only the handle rides the initargs pipe
-    (each worker maps the same pages); without a usable ``/dev/shm``
-    the trace is pickled per worker instead.
-
-    Returns ``(pool, cleanup)``; callers must run ``cleanup()`` after
-    closing the pool (it undoes the parent-side global mutation and
-    releases the initargs segment).
+    A forked worker inherits the suite's graceful SIGTERM/SIGINT
+    handler, so the dispositions are reset first: workers die on SIGTERM
+    and leave SIGINT to the dispatcher.  The shared overrides and the
+    fault plan arrive as process arguments (inherited in memory under
+    ``fork``, pickled under ``spawn``).  Each chunk payload is run one
+    spec at a time, and every spec is answered with one message, so the
+    dispatcher always knows which spec a worker holds.  A failure
+    outside the spec (a reply that will not pickle, a segment that
+    cannot be attached) is answered with ``(None, message)``, and the
+    worker keeps serving.
     """
-    if ctx.get_start_method() == "fork":
-        saved = dict(_WORKER_SHARED)
-        # Parent-side install: the children inherit the overrides (and
-        # the active fault plan) through the fork itself.  Only the
-        # signal reset must run in the child — never here, where it
-        # would strip the suite's own graceful-shutdown handler.
-        _install_shared(trace, infra)
-
-        def cleanup():
-            _WORKER_SHARED.clear()
-            _WORKER_SHARED.update(saved)
-
-        return ctx.Pool(
-            processes=processes, initializer=_reset_worker_signals
-        ), cleanup
-    handle = None
-    shipped = trace
-    if trace is not None:
+    _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
+    _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
+    if isinstance(trace, SharedTraceHandle):
+        trace = attach_trace(trace)
+    _WORKER_SHARED["trace"] = trace
+    _WORKER_SHARED["infra"] = infra
+    if fault_plan is not None:
+        faults.install(fault_plan)
+    while True:
         try:
-            handle = share_trace(trace)
-        except OSError:  # no usable /dev/shm: fall back to pickling
-            _FANOUT_STATS["bytes_shipped"] += trace.values.nbytes * processes
-        else:
-            shipped = handle
-            _FANOUT_STATS["segments_shared"] += 1
-            # without the segment every spawned worker would have
-            # received its own pickled copy through initargs
-            _FANOUT_STATS["bytes_pickle_avoided"] += (
-                trace.values.nbytes * processes
-            )
-    pool = ctx.Pool(
-        processes=processes,
-        initializer=_init_worker,
-        initargs=(shipped, infra, faults.active()),
-    )
-
-    def cleanup():
-        if handle is not None:
-            release_segment(handle)
-
-    return pool, cleanup
-
-
-def _teardown_pool(pool, grace_s: float = 10.0) -> None:
-    """``terminate()`` + ``join()`` that cannot wedge the dispatcher.
-
-    ``Pool.terminate`` drains the task queue while holding the queue's
-    reader lock (CPython's ``_help_stuff_finish``); a worker that dies
-    between acquiring that lock and reading leaves it held forever and
-    ``terminate()`` blocked on it.  Graceful shutdown makes "tear down
-    a pool with workers in arbitrary states" a supported exit, so the
-    teardown runs under a watchdog: past ``grace_s`` every live worker
-    is SIGKILLed, the reader lock is force-released to unstick the
-    drain, and a still-wedged teardown is abandoned to its daemon
-    thread rather than hanging the suite.  The normal path returns the
-    moment the plain ``terminate()``/``join()`` completes.
-    """
-    done = _threading.Event()
-
-    def _graceful() -> None:
-        try:
-            pool.terminate()
-            pool.join()
-        finally:
-            done.set()
-
-    thread = _threading.Thread(
-        target=_graceful, name="pool-teardown", daemon=True
-    )
-    thread.start()
-    if done.wait(grace_s):
-        return
-    for proc in list(getattr(pool, "_pool", None) or ()):
-        if proc.exitcode is None:
+            pairs, prebuilt, attempt = conn.recv()
+        except EOFError:  # the dispatcher is gone
+            return
+        for pair in pairs:
             try:
-                _os.kill(proc.pid, _signal.SIGKILL)
-            except (ProcessLookupError, OSError):  # pragma: no cover
-                pass
-    try:
-        # Releasing an unheld lock raises; a dead holder's is freed.
-        pool._inqueue._rlock.release()
-    except Exception:
-        pass
-    done.wait(grace_s)
+                # Looked up at call time: instrumentation may replace it.
+                conn.send(_run_chunk_guarded(([pair], prebuilt, attempt)))
+            except Exception as exc:
+                conn.send((None, f"{type(exc).__name__}: {exc}"))
 
 
 class _Task:
-    """One dispatchable unit of work: spec indices + attempt bookkeeping.
+    """One dispatchable unit of work: spec indices + attempt bookkeeping."""
 
-    ``isolate`` marks a crash suspect: it runs with the pool otherwise
-    empty, so a repeat crash is unambiguously attributable to it.
-    """
-
-    __slots__ = ("indices", "attempt", "not_before", "isolate")
+    __slots__ = ("indices", "attempt", "not_before")
 
     def __init__(
-        self,
-        indices: Sequence[int],
-        attempt: int = 0,
-        not_before: float = 0.0,
-        isolate: bool = False,
+        self, indices: Sequence[int], attempt: int = 0, not_before: float = 0.0
     ):
         self.indices = list(indices)
         self.attempt = attempt
         self.not_before = not_before
-        self.isolate = isolate
 
 
-def _pool_pids(pool) -> set:
-    try:
-        return {p.pid for p in pool._pool}
-    except Exception:  # pragma: no cover - defensive around private API
-        return set()
+class _Worker:
+    """One owned worker process, its pipe, and the chunk it is running.
 
-
-def _pool_impaired(pool, pids: set) -> bool:
-    """Has any worker died since ``pids`` was snapshotted?
-
-    ``multiprocessing.Pool`` silently respawns a dead worker — the task
-    it held is simply lost and its ``AsyncResult`` never completes — so
-    liveness must be observed from outside: a recorded exitcode or a
-    pid-set change (the respawn may land before this scan runs).  Reads
-    the pool's private worker list defensively; an unreadable pool
-    counts as impaired.
+    ``replies`` counts the messages received for ``task``, so the worker
+    is running ``task.indices[replies]``.  ``inherited`` holds the
+    trace-cache keys a forked worker inherited copy-on-write at its own
+    fork: shipping those again would be a pure extra copy.
     """
-    try:
-        procs = list(pool._pool)
-    except Exception:  # pragma: no cover - defensive around private API
-        return True
-    if any(p.exitcode is not None for p in procs):
-        return True
-    return {p.pid for p in procs} != pids
+
+    __slots__ = ("proc", "conn", "inherited", "task", "replies", "deadline")
+
+    def __init__(self, proc, conn, inherited: set):
+        self.proc = proc
+        self.conn = conn
+        self.inherited = inherited
+        self.task: Optional[_Task] = None
+        self.replies = 0
+        self.deadline: Optional[float] = None
 
 
 def _resume_index(store) -> Dict[str, object]:
@@ -854,14 +743,19 @@ def _dispatch_chunks(
     keep_going: bool,
     store,
     outcomes: List[Optional[SuiteOutcome]],
-    stopped: Optional[Callable[[], Optional[int]]] = None,
+    stopped,
 ) -> List[Tuple[int, FailedRun, Optional[BaseException]]]:
-    """The ``apply_async`` dispatcher behind the pool path of
-    :func:`run_suite`.
+    """The dispatcher behind the worker path of :func:`run_suite`.
 
-    Successes are written into ``outcomes`` (and checkpointed through
-    ``store``) as they land; the return value is the terminal failures
-    as ``(spec_index, FailedRun, carried_exception)``.
+    Runs ``chunks`` on up to ``pool_size`` owned worker processes
+    (:func:`_worker_main`), each on its own pipe.  Successes are written
+    into ``outcomes`` (and checkpointed through ``store``) spec by spec
+    as they land; the return value is the terminal failures as
+    ``(spec_index, FailedRun, carried_exception)``.  The dispatcher
+    blocks in ``multiprocessing.connection.wait`` on the pipes, the
+    process sentinels and ``stopped`` (the waitable stop flag of
+    :func:`_graceful_stop`); it times out only for the next chunk
+    deadline or the end of a backoff.
 
     Trace distribution: any workload split across several chunks — or
     already built in the parent — is built **once**, published in a
@@ -871,33 +765,31 @@ def _dispatch_chunks(
     When ``share_trace`` raises ``OSError`` (no usable ``/dev/shm``),
     the parent-built trace is pickled into each payload instead — still
     one build.  Workloads confined to one chunk are left for their
-    worker to build (still exactly one build).  Segments are owned by
-    this process and released in the ``finally`` below — they survive
-    pool resurrection (retried chunks re-ship the same handle) but never
-    survive the dispatcher, even on error.
+    worker to build (still exactly one build).  A forked worker inherits
+    the parent's trace cache as it stood at its own fork and is shipped
+    only what it lacks.  A ``trace`` override reaches spawned workers
+    as one segment handle (pickled per worker without ``/dev/shm``).
+    Segments are owned by this process and released in the ``finally``
+    below, after every worker has been killed and joined.
 
-    Recovery policy:
+    Recovery policy — each worker replies once per spec, so blame is
+    exact:
 
-    * **Per-spec errors** come back inside a completed chunk
-      (``_spec_outcome`` payloads); only the failing spec is charged and
-      requeued as a singleton with exponential backoff.
-    * **Chunk deadline exceeded** (``policy.timeout_s``): the hung
-      worker holds a pool slot, so the pool is terminated and
-      resurrected.  The expired chunk is charged and *split in half* —
-      a poisoned spec cannot keep condemning its chunk-mates — while the
-      innocent inflight chunks are requeued at the front, uncharged.
-    * **Dead worker** (pid change / exitcode): the pool is resurrected;
-      attribution is by *isolation*.  With exactly one chunk inflight
-      the culprit is known and charged.  With several, nobody is
-      charged: every suspect is requeued marked ``isolate`` and replayed
-      with the pool otherwise empty, so innocents complete untouched and
-      a repeat crasher crashes alone — unambiguously attributed, then
-      charged (and split) on its own budget.  Exactly the poisoned specs
-      fail; no innocent ever burns an attempt on a neighbour's crash.
+    * **Per-spec errors** come back as ``_spec_outcome`` payloads; only
+      the failing spec is charged and requeued with exponential backoff.
+    * **Dead worker** (its sentinel fires or its pipe closes) and
+      **chunk deadline exceeded** (``policy.timeout_s``) share one path:
+      the spec the worker was running is charged (``WorkerCrashed`` /
+      ``ChunkTimeout``), the chunk's unstarted specs are requeued
+      uncharged, and only that worker is killed; a replacement starts
+      when there is work for it, while the other workers keep running.
     """
+    from multiprocessing import resource_tracker
+    from multiprocessing.connection import wait
+
     fork = ctx.get_start_method() == "fork"
     pending = deque(_Task(chunk) for chunk in chunks)
-    inflight: List[list] = []  # [task, async_result, deadline]
+    workers: List[_Worker] = []
     first_seen: Dict[int, float] = {}
     failures: List[Tuple[int, FailedRun, Optional[BaseException]]] = []
     #: Workload key -> live SharedTraceHandle published by this dispatcher.
@@ -909,20 +801,16 @@ def _dispatch_chunks(
     for chunk in chunks:
         for key in {_workload_key(specs[i]) for i in chunk}:
             pieces_per_key[key] = pieces_per_key.get(key, 0) + 1
-    #: Keys forked children inherited copy-on-write at pool creation —
-    #: publishing a segment for those would be a pure extra copy.
-    inherited: set = set()
+    fault_plan = faults.active()
+    #: A spawn worker's ``trace`` override, published once.
+    override_handle: Optional[SharedTraceHandle] = None
 
-    def payload_for(task: _Task):
-        # Trace distribution: each workload travels at most once per
-        # host, as a named segment whose handle ships with every chunk
-        # (pickled by value when /dev/shm is unusable); under plain
-        # ``fork`` the children inherit the parent's cache copy-on-write.
+    def payload_for(task: _Task, worker: _Worker):
         prebuilt = {}
         if trace is None:  # a shared override supersedes per-spec traces
             for i in task.indices:
                 key = _workload_key(specs[i])
-                if key in prebuilt or key in inherited:
+                if key in prebuilt or key in worker.inherited:
                     continue
                 handle = shared_handles.get(key)
                 if handle is None and (
@@ -943,188 +831,180 @@ def _dispatch_chunks(
                     _FANOUT_STATS["bytes_pickle_avoided"] += handle.nbytes
         return ([(i, specs[i]) for i in task.indices], prebuilt, task.attempt)
 
+    def start_worker() -> None:
+        conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(
+            target=_worker_main,
+            args=(child_conn, override_handle or trace, infra, fault_plan),
+            daemon=True,
+        )
+        proc.start()
+        child_conn.close()
+        inherited = set(_TRACE_CACHE) if fork else set()
+        workers.append(_Worker(proc, conn, inherited))
+        if trace is not None and not fork:
+            # without the segment the worker receives its own pickled copy
+            key = "bytes_pickle_avoided" if override_handle else "bytes_shipped"
+            _FANOUT_STATS[key] += trace.values.nbytes
+
     def charge(
-        task: _Task,
+        i: int,
+        attempt: int,
         now: float,
         error_type: str,
         message: str,
         tb: str = "",
         exc: Optional[BaseException] = None,
     ) -> None:
-        """Charge one attempt to every spec of ``task``: requeue with
-        backoff (splitting multi-spec tasks) or mint ``FailedRun``s."""
-        next_attempt = task.attempt + 1
-        if next_attempt >= policy.max_attempts:
-            for i in task.indices:
-                failures.append(
-                    (
-                        i,
-                        FailedRun(
-                            spec=specs[i],
-                            error_type=error_type,
-                            message=message,
-                            traceback=tb,
-                            attempts=next_attempt,
-                            elapsed_s=now - first_seen.get(i, now),
-                        ),
-                        exc,
-                    )
-                )
-            return
-        mid = len(task.indices) // 2
-        halves = (
-            [task.indices]
-            if len(task.indices) == 1
-            else [task.indices[:mid], task.indices[mid:]]
-        )
-        not_before = now + policy.delay(next_attempt)
-        for half in halves:
-            pending.append(
-                _Task(half, next_attempt, not_before, isolate=task.isolate)
+        """Charge one attempt to spec ``i``: requeue it with backoff, or
+        mint its ``FailedRun`` once the budget is spent."""
+        if attempt + 1 >= policy.max_attempts:
+            failed = FailedRun(
+                spec=specs[i],
+                error_type=error_type,
+                message=message,
+                traceback=tb,
+                attempts=attempt + 1,
+                elapsed_s=now - first_seen.get(i, now),
             )
+            failures.append((i, failed, exc))
+        else:
+            not_before = now + policy.delay(attempt + 1)
+            pending.append(_Task([i], attempt + 1, not_before))
 
-    def record_success(i: int, run: ScenarioRun) -> None:
-        if store is not None:
-            store.save(run.to_record())
-        outcomes[i] = run
-
-    def harvest(now: float) -> bool:
-        """Collect every ready inflight result; True if any landed."""
-        done = [entry for entry in inflight if entry[1].ready()]
-        for entry in done:
-            inflight.remove(entry)
-            task = entry[0]
-            try:
-                results, wstats = entry[1].get()
-            except Exception as exc:
-                # The chunk died as a whole (e.g. its result failed to
-                # unpickle) without per-spec attribution.
-                charge(
-                    task, now, "ChunkError", f"{type(exc).__name__}: {exc}"
-                )
-                continue
-            _FANOUT_STATS["worker_trace_builds"] += int(
-                wstats.get("trace_builds", 0)
-            )
-            for i, (status, payload) in results:
+    def receive(worker: _Worker, now: float) -> bool:
+        """Handle every reply ``worker`` has sent; False once its pipe
+        is closed (the worker is dead)."""
+        try:
+            while worker.conn.poll():
+                results, info = worker.conn.recv()
+                task = worker.task
+                i = task.indices[worker.replies]
+                worker.replies += 1
+                if worker.replies == len(task.indices):
+                    worker.task = worker.deadline = None
+                if results is None:  # failed outside the spec
+                    charge(i, task.attempt, now, "ChunkError", info)
+                    continue
+                _FANOUT_STATS["worker_trace_builds"] += info["trace_builds"]
+                [(_, (status, payload))] = results
                 if status == "ok":
-                    record_success(i, payload)
+                    if store is not None:
+                        store.save(payload.to_record())
+                    outcomes[i] = payload
                 else:
                     charge(
-                        _Task([i], task.attempt),
+                        i,
+                        task.attempt,
                         now,
                         str(payload["error_type"]),
                         str(payload["message"]),
                         str(payload["traceback"]),
                         payload.get("exception"),
                     )
-        return bool(done)
+        except (EOFError, OSError):
+            return False
+        return True
 
-    pool, cleanup = _make_pool(ctx, pool_size, trace, infra)
-    pids = _pool_pids(pool)
-    if fork:
-        inherited = set(_TRACE_CACHE)
+    def retire(worker: _Worker, now: float, error_type: str, message: str):
+        """Kill ``worker``; charge the spec it was running and requeue
+        its chunk's unstarted specs uncharged."""
+        worker.proc.kill()
+        worker.proc.join()
+        worker.conn.close()
+        workers.remove(worker)
+        task = worker.task
+        if task is not None:
+            rest = task.indices[worker.replies + 1 :]
+            if rest:
+                pending.appendleft(_Task(rest, task.attempt))
+            i = task.indices[worker.replies]
+            charge(i, task.attempt, now, error_type, message)
 
-    def reset_pool() -> None:
-        nonlocal pool, cleanup, pids, inherited
-        _teardown_pool(pool)
-        cleanup()
-        pool, cleanup = _make_pool(ctx, pool_size, trace, infra)
-        pids = _pool_pids(pool)
-        if fork:
-            inherited = set(_TRACE_CACHE)
-
+    # Fork workers must share this process's resource tracker: one they
+    # started themselves would unlink every segment they attached when
+    # they exit, while the segment is still live.
+    resource_tracker.ensure_running()
+    if trace is not None and not fork:
+        try:
+            override_handle = share_trace(trace)
+        except OSError:  # no usable /dev/shm: pickle per worker instead
+            pass
+        else:
+            _FANOUT_STATS["segments_shared"] += 1
     try:
-        while pending or inflight:
+        while pending or any(w.task is not None for w in workers):
+            while pending and len(workers) < pool_size:
+                start_worker()
             now = time.monotonic()
-            signum = stopped() if stopped is not None else None
-            if signum is not None:
-                # Graceful shutdown: stop dispatching, give the inflight
-                # chunks one final harvest so every completed result is
-                # flushed to the store before the suite dies.
-                harvest(now)
-                completed = sum(1 for o in outcomes if o is not None)
-                raise SuiteInterrupted(signum, completed, len(outcomes))
-            for _ in range(len(pending)):
-                if len(inflight) >= pool_size:
-                    break
-                if any(entry[0].isolate for entry in inflight):
-                    break  # an isolation round runs alone
-                task = pending.popleft()
-                if task.not_before > now:  # still backing off: rotate
-                    pending.append(task)
+            for worker in list(workers):
+                if worker.task is not None:
                     continue
-                if task.isolate and inflight:
-                    pending.appendleft(task)  # wait for the pool to drain
+                task = next((t for t in pending if t.not_before <= now), None)
+                if task is None:
                     break
+                pending.remove(task)
                 for i in task.indices:
                     first_seen.setdefault(i, now)
-                handle = pool.apply_async(
-                    _run_chunk_guarded, (payload_for(task),)
+                worker.task, worker.replies = task, 0
+                if policy.timeout_s is not None:
+                    worker.deadline = now + policy.timeout_s
+                try:
+                    worker.conn.send(payload_for(task, worker))
+                except OSError:  # it died idle, before taking the chunk
+                    retire(worker, now, "WorkerCrashed", _DIED)
+            wakeups = [w.deadline for w in workers if w.deadline is not None]
+            if pending and (
+                len(workers) < pool_size
+                or any(w.task is None for w in workers)
+            ):
+                wakeups.append(min(t.not_before for t in pending))
+            timeout = max(0.0, min(wakeups) - now) if wakeups else None
+            ready = set(
+                wait(
+                    [stopped]
+                    + [w.conn for w in workers]
+                    + [w.proc.sentinel for w in workers],
+                    timeout,
                 )
-                deadline = (
-                    None
-                    if policy.timeout_s is None
-                    else now + policy.timeout_s
-                )
-                inflight.append([task, handle, deadline])
+            )
             now = time.monotonic()
-            progressed = harvest(now)
-            if failures and not keep_going:
-                break
-            expired = [
-                entry
-                for entry in inflight
-                if entry[2] is not None and now > entry[2]
-            ]
-            if expired:
-                expired_ids = {id(entry) for entry in expired}
-                innocents = [
-                    entry for entry in inflight if id(entry) not in expired_ids
-                ]
-                inflight.clear()
-                for entry in expired:
-                    charge(
-                        entry[0],
+            signum = stopped()
+            if signum is not None:
+                # Graceful shutdown: flush every reply already sent to
+                # the store before the suite dies.
+                for worker in workers:
+                    receive(worker, now)
+                completed = sum(1 for o in outcomes if o is not None)
+                raise SuiteInterrupted(signum, completed, len(outcomes))
+            for worker in list(workers):
+                died = worker.proc.sentinel in ready
+                if died or worker.conn in ready:
+                    if not receive(worker, now) or died:
+                        retire(worker, now, "WorkerCrashed", _DIED)
+            for worker in list(workers):
+                if worker.deadline is not None and now >= worker.deadline:
+                    retire(
+                        worker,
                         now,
                         "ChunkTimeout",
                         f"chunk exceeded the {policy.timeout_s:g}s deadline",
                     )
-                for entry in reversed(innocents):
-                    pending.appendleft(entry[0])
-                reset_pool()
-                if failures and not keep_going:
-                    break
-                continue
-            if inflight and _pool_impaired(pool, pids):
-                if len(inflight) == 1:  # unambiguous: charge the culprit
-                    charge(
-                        inflight[0][0],
-                        now,
-                        "WorkerCrashed",
-                        "worker process died mid-chunk",
-                    )
-                else:
-                    # Ambiguous: replay every suspect uncharged, one at a
-                    # time, so the next crash identifies its task alone.
-                    for entry in reversed(inflight):
-                        entry[0].isolate = True
-                        pending.appendleft(entry[0])
-                inflight.clear()
-                reset_pool()
-                if failures and not keep_going:
-                    break
-                continue
-            if not progressed and (pending or inflight):
-                time.sleep(_POLL_INTERVAL_S)
+            if failures and not keep_going:
+                break
     finally:
-        _teardown_pool(pool)
-        cleanup()
-        # Segments outlive pool resurrections but never the dispatcher:
-        # releasing after the pool is down means no worker still maps
-        # them, and /dev/shm is clean even when the suite aborted.
+        for worker in workers:
+            worker.proc.kill()
+        for worker in workers:
+            worker.proc.join()
+            worker.conn.close()
+        # Releasing after the last worker is reaped means no worker
+        # still maps a segment, and /dev/shm is clean even when the
+        # suite aborted.
         for handle in shared_handles.values():
             release_segment(handle)
+        if override_handle is not None:
+            release_segment(override_handle)
     return failures
 
 
@@ -1143,8 +1023,9 @@ def run_suite(
     """Run many scenarios, optionally fanned out over worker processes.
 
     ``jobs=1`` runs in-process (sharing this process's caches);
-    ``jobs>1`` uses a ``multiprocessing`` pool.  The specs are
-    partitioned by workload (:func:`chunk_specs`) into one task per
+    ``jobs>1`` runs them on that many worker processes the dispatcher
+    owns (:func:`_dispatch_chunks`).  The specs are partitioned by
+    workload (:func:`chunk_specs`) into one task per
     workload piece (``chunk_size`` caps the piece size for finer
     dispatch/retry granularity), and each workload's trace is
     distributed **at most once per host**: any workload spanning several
@@ -1167,7 +1048,10 @@ def run_suite(
 
     * ``retry`` (:class:`RetryPolicy`) arms per-chunk deadlines and
       exponential-backoff retries; the default (``None``) keeps the
-      legacy single-attempt, no-deadline semantics.
+      legacy single-attempt, no-deadline semantics.  A crash or an
+      expired deadline is charged to the one spec its worker was
+      running: chunk-mates that already finished keep their results,
+      and the unstarted ones run again uncharged.
     * ``keep_going=True`` degrades gracefully: instead of the first
       error aborting the suite, each spec's slot holds its outcome — a
       :class:`ScenarioRun`, a resumed
@@ -1177,7 +1061,8 @@ def run_suite(
       original exception when it crossed the process boundary intact,
       else a :class:`SuiteExecutionError`.
     * ``store`` (a :class:`~repro.results.store.RunStore`) checkpoints
-      every completed result the moment it lands; ``resume=True`` skips
+      every completed result the moment it lands (one spec at a time,
+      also from workers); ``resume=True`` skips
       specs whose results the store already holds (matched by
       ``spec_key()``, latest save wins) and returns the stored records
       in their slots.

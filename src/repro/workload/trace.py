@@ -433,8 +433,8 @@ class SharedTraceHandle:
     """A by-name reference to a trace published in shared memory.
 
     Pickles in ~100 bytes regardless of trace length — this is what
-    travels through pool ``initargs``/task payloads instead of the rate
-    array itself.  ``attach_trace`` turns it back into a
+    travels through worker arguments and chunk payloads instead of the
+    rate array itself.  ``attach_trace`` turns it back into a
     :class:`LoadTrace` whose values are a read-only view of the segment.
     """
 
@@ -525,13 +525,16 @@ def attach_trace(handle: SharedTraceHandle) -> LoadTrace:
                 "exists (was it released by its owner?)"
             ) from None
         # Python 3.11's ``SharedMemory`` registers attachments with the
-        # resource tracker too (no ``track=`` parameter yet).  Pool
-        # workers *share* the parent's tracker (the fd travels in the
-        # spawn preparation data), whose cache is a set — so a worker's
-        # duplicate register is a no-op and the owner's ``unlink``
-        # performs the single balanced unregister.  Unregistering here
-        # as well would make that unlink-time unregister a noisy
-        # KeyError inside the tracker process.
+        # resource tracker too (no ``track=`` parameter yet).  Suite
+        # workers share the dispatcher's tracker: spawn passes its fd in
+        # the preparation data, and fork children inherit it because
+        # the dispatcher starts it before the first worker.  A tracker
+        # of the worker's own would unlink the still-live segment when
+        # that worker exits.  The shared tracker's cache is a set, so a
+        # worker's duplicate register is a no-op and the owner's
+        # ``unlink`` performs the single balanced unregister.
+        # Unregistering here as well would make that unlink-time
+        # unregister a noisy KeyError inside the tracker process.
         _ATTACHED[handle.segment] = shm
         _arm_atexit()
     arr = np.ndarray((handle.samples,), dtype=np.float64, buffer=shm.buf)

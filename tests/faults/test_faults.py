@@ -5,7 +5,7 @@ determinism, scoped installation, the no-op default) and every recovery
 path that does not need a worker pool: sequential retry, graceful
 degradation into :class:`FailedRun`, store quarantine of corrupt
 checkpoints, trace-read failures, and sequential checkpoint-resume.
-The pool-level paths (crash / hang / resurrection) live in
+The worker-level paths (crash / hang / replacement) live in
 ``test_pool_failures.py``.
 """
 

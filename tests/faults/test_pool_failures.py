@@ -1,15 +1,17 @@
-"""Pool-level fault tolerance: crash, hang, retry, resume — fork and spawn.
+"""Suite fault tolerance: crash, hang, retry, resume — fork and spawn.
 
-These tests drive the ``apply_async`` dispatcher behind
-``run_suite(jobs>1)`` through its recovery paths with real injected
-process failures: workers killed mid-chunk (``os._exit``), workers hung
-past the chunk deadline, and transient in-spec exceptions.  The
-acceptance contract (ISSUE PR 7): exactly the poisoned specs fail,
-survivors are bit-identical to a clean sequential run, and a resumed
-suite re-runs only the failures.
+These tests drive the dispatcher behind ``run_suite(jobs>1)`` — owned
+worker processes, each on its own pipe and replying once per spec —
+through its recovery paths with real injected process failures:
+workers killed mid-chunk (``os._exit``), workers hung past the chunk
+deadline, and transient in-spec exceptions.  The acceptance contract:
+exactly the poisoned specs fail, survivors are bit-identical to a
+clean sequential run, and a resumed suite re-runs only the failures.
+Blame is exact inside a chunk too: a chunk-mate that finished before
+the fault keeps its result.
 
 Fork runs are quick-marked; spawn runs pay interpreter start-up per
-worker (and per pool resurrection) so they ride only in the full suite.
+worker (and per replacement worker) so they ride only in the full suite.
 """
 
 import multiprocessing
@@ -120,6 +122,59 @@ class TestWorkerCrash:
                 )
         assert [f.name for f in err.value.failures] == ["s1"]
         assert err.value.failures[0].error_type == "WorkerCrashed"
+
+
+def _one_workload_suite(n):
+    """``n`` scenarios over one workload: default chunking pairs them."""
+    base = scenarios.get("pattern-steady").with_days(1)
+    return [
+        replace(
+            base,
+            name=f"s{k}",
+            scheduler=replace(base.scheduler, window=120 + 60 * k),
+        )
+        for k in range(n)
+    ]
+
+
+@pytest.mark.parametrize("start_method", START_METHODS)
+@pytest.mark.parametrize(
+    "site, error_type",
+    [("worker-crash", "WorkerCrashed"), ("worker-hang", "ChunkTimeout")],
+)
+class TestExactBlame:
+    def test_finished_chunk_mate_keeps_its_result(
+        self, start_method, site, error_type, short_trace, infra
+    ):
+        """A crash or hang on the second spec of a two-spec chunk fails
+        that spec alone: the first already finished and keeps its
+        result, even with a single attempt per spec."""
+        _skip_unless_available(start_method)
+        specs = _one_workload_suite(4)
+        assert scenarios.chunk_specs(specs, 2) == [[0, 1], [2, 3]]
+        fault = faults.Fault(
+            site, "s1", fail_attempts=faults.ALWAYS, hang_s=120.0
+        )
+        hang = site == "worker-hang"
+        with faults.injected(faults.FaultPlan(faults=(fault,))):
+            out = scenarios.run_suite(
+                specs,
+                jobs=2,
+                start_method=start_method,
+                keep_going=True,
+                retry=RetryPolicy(
+                    max_attempts=1,
+                    timeout_s=TIMEOUT_S[start_method] if hang else None,
+                ),
+                trace=short_trace,
+                infra=infra,
+            )
+        failed = [o for o in out if isinstance(o, FailedRun)]
+        assert [f.name for f in failed] == ["s1"]
+        assert failed[0].error_type == error_type
+        assert failed[0].attempts == 1
+        assert isinstance(out[0], scenarios.ScenarioRun)
+        _assert_matches_clean(out, specs, short_trace, infra)
 
 
 @pytest.mark.parametrize("start_method", START_METHODS)

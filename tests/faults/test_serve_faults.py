@@ -355,27 +355,3 @@ class TestSuiteGracefulShutdown:
         # Handlers restored: a SIGTERM now uses the default disposition
         # (would kill the process), so just verify ours is gone.
         assert signal.getsignal(signal.SIGTERM) is not None
-
-    def test_wedged_teardown_escalates_to_sigkill(self):
-        """A ``Pool.terminate`` that never returns (dead worker holding
-        the task queue's reader lock) must not hang the dispatcher: the
-        watchdog SIGKILLs the workers and moves on."""
-        import multiprocessing
-
-        from repro.scenarios.runner import _teardown_pool
-
-        ctx = multiprocessing.get_context("fork")
-        pool = ctx.Pool(2)
-        workers = list(pool._pool)
-        real_terminate = pool.terminate
-        pool.terminate = lambda: time.sleep(30)  # simulate the wedge
-        start = time.monotonic()
-        _teardown_pool(pool, grace_s=0.3)
-        assert time.monotonic() - start < 5.0  # returned, did not hang
-        deadline = time.monotonic() + 5.0
-        while any(w.exitcode is None for w in workers):
-            assert time.monotonic() < deadline, "workers not killed"
-            time.sleep(0.02)
-        pool.terminate = real_terminate
-        pool.terminate()  # reap any respawned workers
-        pool.join()

@@ -2,10 +2,11 @@
 
 The dispatcher owns every published trace segment.  Workers crashing
 mid-chunk (taking their attachments with them), workers hanging past
-the chunk deadline (pool resurrected underneath live segments) — none
-of it may leave a ``repro-trace-*`` entry in ``/dev/shm`` once
-``run_suite`` returns: retried chunks re-ship the *same* segment, and
-the dispatcher's ``finally`` releases everything after pool teardown.
+the chunk deadline (killed and replaced underneath live segments) —
+none of it may leave a ``repro-trace-*`` entry in ``/dev/shm``, or a
+live worker process, once ``run_suite`` returns: retried chunks re-ship
+the *same* segment, and the dispatcher's ``finally`` releases
+everything after the last worker is reaped.
 """
 
 import glob
@@ -49,6 +50,7 @@ def _suite(n):
 
 
 def _assert_no_leak():
+    assert not multiprocessing.active_children()
     assert shm_stats()["segments_live"] == 0
     leaked = _shm_entries()
     assert not leaked, f"leaked shared-memory segments: {leaked}"

@@ -15,7 +15,11 @@ so it rides only in the full suite.
 
 import glob
 import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +169,53 @@ def test_without_shm_a_trace_override_ships_through_initargs(monkeypatch):
     assert stats["worker_trace_builds"] == 0
     assert stats["segments_shared"] == stats["handles_shipped"] == 0
     assert stats["bytes_shipped"] == 2 * trace.values.nbytes
+    assert not _shm_entries()
+
+
+#: A fork suite in a fresh interpreter: one workload over four chunks
+#: (so a segment is published and attached), and one worker crash.
+_TRACKER_CHILD = """
+from dataclasses import replace
+from repro import faults, scenarios
+
+base = scenarios.get("pattern-steady").with_days(1)
+specs = [
+    replace(base, name=f"shm-{k}",
+            scheduler=replace(base.scheduler, window=120 + 60 * k))
+    for k in range(4)
+]
+plan = faults.FaultPlan(
+    faults=(faults.Fault("worker-crash", "shm-1", fail_attempts=faults.ALWAYS),)
+)
+with faults.injected(plan):
+    out = scenarios.run_suite(
+        specs, jobs=2, start_method="fork", chunk_size=1, keep_going=True
+    )
+print(" ".join(type(o).__name__ for o in out))
+"""
+
+
+@pytest.mark.quick
+def test_fork_workers_share_the_resource_tracker():
+    """Fork workers must register attached segments with the
+    dispatcher's resource tracker: a tracker of their own unlinks a
+    still-live segment when its worker dies, and warns at exit."""
+    _skip_unless_available("fork")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACKER_CHILD],
+        cwd=Path(__file__).resolve().parents[1],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "ScenarioRun", "FailedRun", "ScenarioRun", "ScenarioRun",
+    ]
+    assert "resource_tracker" not in proc.stderr, proc.stderr
     assert not _shm_entries()
 
 
