@@ -18,7 +18,8 @@ crash must fail exactly the crashed spec (as ``WorkerCrashed``), leave
 A sweep smoke follows: the registered ``grid-smoke`` sweep (2x2x2 x 1
 day) expands and runs through the spawn pool with shared-memory trace
 distribution, then the leak check fails if any ``repro``-prefixed
-``/dev/shm`` segment survived the suite (``--no-sweep`` skips it).
+``/dev/shm`` segment the smoke's own process created survived the suite
+(``--no-sweep`` skips it).
 
 Next, a control-plane smoke: a 7-day diurnal trace replayed through the
 reference and two-phase engines must be bit-identical, with the second
@@ -56,6 +57,7 @@ ROOT = Path(__file__).resolve().parent.parent
 #: and one persistent worker crash.  Exactly the crashed spec may fail.
 FAULT_SMOKE = """\
 import glob
+import os
 from dataclasses import replace
 from repro import faults, scenarios
 from repro.workload.trace import SHM_PREFIX
@@ -87,7 +89,7 @@ with faults.injected(plan):
 failed = {o.name: o.error_type for o in out if hasattr(o, "error_type")}
 assert failed == {"smoke-2": "WorkerCrashed"}, f"fault smoke: {failed}"
 assert [o.name for o in out] == [s.name for s in specs]
-leaked = glob.glob(f"/dev/shm/{SHM_PREFIX}*")
+leaked = glob.glob(f"/dev/shm/{SHM_PREFIX}{os.getpid()}-*")
 assert not leaked, f"fault smoke: leaked shared-memory segments {leaked}"
 print(
     "fault smoke: 3/4 scenarios ran on fork workers "
@@ -101,6 +103,7 @@ print(
 #: shared-memory trace distribution, and leaves ``/dev/shm`` clean.
 SWEEP_SMOKE = """\
 import glob
+import os
 from repro import scenarios
 from repro.workload.trace import SHM_PREFIX, shm_stats
 
@@ -114,7 +117,7 @@ assert [o.name for o in out] == [s.name for s in specs]
 stats = scenarios.fanout_stats()
 assert stats["segments_shared"] >= 1, stats  # the pool path really ran
 assert shm_stats()["segments_live"] == 0, shm_stats()
-leaked = glob.glob(f"/dev/shm/{SHM_PREFIX}*")
+leaked = glob.glob(f"/dev/shm/{SHM_PREFIX}{os.getpid()}-*")
 assert not leaked, f"leaked shared-memory segments: {leaked}"
 print(
     f"sweep smoke: {len(out)}/8 grid points ran "

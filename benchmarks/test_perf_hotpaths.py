@@ -8,15 +8,14 @@ Fig. 5 benchmark from seconds into hours (a naive per-second Python loop
 over 7.5 M samples).
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.bml import design
-from repro.core.combination import (
-    CombinationTable,
-    _greedy_combos_reference,
-    build_table,
-)
+from repro.core.combination import CombinationTable, build_table
 from repro.core.prediction import LookAheadMaxPredictor
 from repro.core.profiles import table_i_profiles
 from repro.core.scheduler import BMLScheduler, DecisionWalk, _decision_ids
@@ -26,6 +25,11 @@ from repro.sim.loop import EventDrivenReplay
 from repro.workload.sliding import lookahead_max, trailing_max
 from repro.workload.wc98format import read_trace, write_records
 from repro.workload.worldcup import WorldCupSynthesizer
+
+# The per-rate reference construction lives with the tests; a run of
+# ``pytest benchmarks/`` alone never loads tests/conftest.py.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from table_references import _greedy_combos_reference  # noqa: E402
 
 
 @pytest.fixture(scope="module")

@@ -24,6 +24,7 @@ deliberately non-trivial parse cost (~0.7 s each).
 
 import glob as globmod
 import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -136,7 +137,7 @@ def test_perf_sweep_shared_memory(benchmark, sweep_specs):
     assert stats["segments_shared"] == WORKLOADS * ROUNDS
     assert stats["bytes_pickle_avoided"] > 0
     assert shm_stats()["segments_live"] == 0
-    assert not globmod.glob(f"/dev/shm/{SHM_PREFIX}*")
+    assert not globmod.glob(f"/dev/shm/{SHM_PREFIX}{os.getpid()}-*")
 
 
 @pytest.mark.benchmark(group="perf-sweep")

@@ -29,7 +29,8 @@ Performance architecture
 Table construction is the substrate under the scheduler, the crossing
 analysis, the constrained variant and the lower bound, so everything on
 that path is expressed as numpy array operations; the original pure-Python
-formulations are kept as references for the equivalence property tests
+formulations live in ``tests/table_references.py`` as the references of
+the equivalence property tests
 (``tests/properties/test_prop_vectorized.py``):
 
 * **Greedy tables** (:func:`build_table`, ``method="greedy"``) compute the
@@ -47,7 +48,8 @@ formulations are kept as references for the equivalence property tests
   Exact-cover multisets for every grid rate are reconstructed with
   pointer-doubling over the DP's choice chain (``O(n log n)`` gathers)
   instead of ``O(n x nodes)`` backtracking.  Reference:
-  :func:`_solve_dp_reference` / :func:`_sliding_min_with_arg_reference`.
+  ``_solve_dp_reference`` / ``_sliding_min_with_arg_reference`` in
+  ``tests/table_references.py``.
 * **Grid power evaluation** (:class:`CombinationTable`) mirrors
   :meth:`Combination.power`'s exact operation order over the whole count
   matrix at once (:func:`_grid_power_from_counts`), so the vectorised
@@ -64,7 +66,6 @@ monotone reuse of larger tables for smaller requests) lives on
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -555,43 +556,19 @@ def _grid_capacities(
     return caps
 
 
-def _sliding_min_with_arg_reference(
+def _sliding_min_with_arg(
     values: np.ndarray, window: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """For each index i>=1: min of ``values[max(0, i-window) : i]`` and argmin.
 
-    O(n) monotonic deque, pure Python — the reference implementation the
-    vectorised :func:`_sliding_min_with_arg` is property-tested against.
     Entry i of the output corresponds to choosing a partial-load amount
     ``x`` in ``1..window`` with ``values[i - x]``; ties report the latest
-    index attaining the minimum.
-    """
-    n = len(values)
-    best = np.full(n, np.inf)
-    arg = np.full(n, -1, dtype=np.int64)
-    dq: deque = deque()  # indices with increasing values
-    for i in range(1, n):
-        j = i - 1  # values[j] becomes eligible for position i
-        while dq and values[dq[-1]] >= values[j]:
-            dq.pop()
-        dq.append(j)
-        while dq and dq[0] < i - window:
-            dq.popleft()
-        if dq and np.isfinite(values[dq[0]]):
-            best[i] = values[dq[0]]
-            arg[i] = dq[0]
-    return best, arg
-
-
-def _sliding_min_with_arg(
-    values: np.ndarray, window: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorised drop-in for :func:`_sliding_min_with_arg_reference`.
-
-    Gil-Werman block decomposition: prefix/suffix minima over blocks of
-    ``window`` elements give every window minimum from two lookups; the
-    argmin accumulates the *latest* index attaining the minimum, matching
-    the deque's tie-breaking exactly.
+    index attaining the minimum.  Gil-Werman block decomposition:
+    prefix/suffix minima over blocks of ``window`` elements give every
+    window minimum from two lookups; the argmin accumulates the *latest*
+    index attaining the minimum, matching the tie-breaking of the
+    monotonic-deque reference (``_sliding_min_with_arg_reference`` in
+    ``tests/table_references.py``) exactly.
     """
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
@@ -735,42 +712,6 @@ def _solve_dp(
     g, choice = _cover_costs(profs, caps, n)
     f, part_arch, part_from = _partial_phase(
         profs, caps, g, resolution, _sliding_min_with_arg
-    )
-    return _DPResult(
-        resolution=resolution,
-        profiles=profs,
-        power=f,
-        cover_cost=g,
-        cover_choice=choice,
-        partial_arch=part_arch,
-        partial_from=part_from,
-    )
-
-
-def _solve_dp_reference(
-    profiles: Sequence[ArchitectureProfile],
-    max_units: int,
-    resolution: float,
-) -> _DPResult:
-    """The original per-rate Python DP, kept as the property-test reference."""
-    profs = tuple(profiles)
-    caps = _grid_capacities(profs, resolution)
-    n = max_units + 1
-    g = np.full(n, np.inf)
-    g[0] = 0.0
-    choice = np.full(n, -1, dtype=np.int64)
-    for r in range(1, n):
-        best = np.inf
-        best_a = -1
-        for a, p in enumerate(profs):
-            prev = r - caps[a]
-            if prev >= 0 and g[prev] + p.max_power < best:
-                best = g[prev] + p.max_power
-                best_a = a
-        g[r] = best
-        choice[r] = best_a
-    f, part_arch, part_from = _partial_phase(
-        profs, caps, g, resolution, _sliding_min_with_arg_reference
     )
     return _DPResult(
         resolution=resolution,
@@ -1049,27 +990,6 @@ class CombinationTable:
         view = self._counts.view()
         view.flags.writeable = False
         return view
-
-
-def _greedy_combos_reference(
-    ordered: Sequence[ArchitectureProfile],
-    thresholds: Mapping[str, float],
-    max_units: int,
-    resolution: float,
-    inventory: Optional[Mapping[str, int]] = None,
-) -> List[Combination]:
-    """Per-rate greedy construction — the property-test/benchmark reference."""
-    combos: List[Combination] = []
-    for k in range(max_units + 1):
-        if inventory is None:
-            combos.append(greedy_combination(k * resolution, ordered, thresholds))
-        else:
-            combos.append(
-                greedy_combination_bounded(
-                    k * resolution, ordered, thresholds, inventory
-                )
-            )
-    return combos
 
 
 def build_table(

@@ -24,9 +24,10 @@ This module computes optimal combinations under those bounds:
 
 Performance architecture
 ------------------------
-Like the unconstrained engine, the bounded DP runs on numpy kernels with
-the original formulations kept as references for the equivalence property
-tests (``tests/properties/test_prop_constraints.py``):
+Like the unconstrained engine, the bounded DP runs on numpy kernels; the
+original formulations live in ``tests/table_references.py`` as the
+references of the equivalence property tests
+(``tests/properties/test_prop_constraints.py``):
 
 * the layer recurrence stacks every architecture's shifted candidate row
   and reduces with one ``argmin`` pass per layer
@@ -46,7 +47,7 @@ base table via ``base_table`` instead of rebuilding it per call.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -135,62 +136,6 @@ def _solve_bounded(
             f_arch[better] = a
             f_from[better] = arg_h[better]
     # the full budget may also be spent entirely on full machines
-    exact = g[max_nodes] < f
-    f[exact] = g[max_nodes][exact]
-    f_n[exact] = max_nodes
-    f_arch[exact] = -1
-    f_from[exact] = -1
-    return profs, caps, g_choice, f, f_n, f_arch, f_from
-
-
-def _solve_bounded_reference(
-    profiles: Sequence[ArchitectureProfile],
-    max_units: int,
-    resolution: float,
-    max_nodes: int,
-):
-    """The original masked per-architecture layer updates (test reference)."""
-    if max_nodes < 1:
-        raise CombinationError("max_nodes must be >= 1")
-    profs = tuple(profiles)
-    caps = _grid_capacities(profs, resolution)
-    n_rates = max_units + 1
-
-    g = np.full((max_nodes + 1, n_rates), np.inf)
-    g[0, 0] = 0.0
-    g_choice = np.full((max_nodes + 1, n_rates), -1, dtype=np.int64)
-    for n in range(1, max_nodes + 1):
-        for a, p in enumerate(profs):
-            cap = caps[a]
-            if cap >= n_rates:
-                continue
-            cand = g[n - 1, : n_rates - cap] + p.max_power
-            better = cand < g[n, cap:]
-            g[n, cap:][better] = cand[better]
-            g_choice[n, cap:][better] = a
-
-    f = np.full(n_rates, np.inf)
-    f[0] = 0.0
-    f_n = np.full(n_rates, -1, dtype=np.int64)
-    f_arch = np.full(n_rates, -1, dtype=np.int64)
-    f_from = np.full(n_rates, -1, dtype=np.int64)
-    rates = np.arange(n_rates) * resolution
-    for n in range(0, max_nodes):
-        layer = g[n]
-        exact = layer < f
-        f[exact] = layer[exact]
-        f_n[exact] = n
-        f_arch[exact] = -1
-        f_from[exact] = -1
-        for a, p in enumerate(profs):
-            h = layer - p.slope * rates
-            best_h, arg_h = _sliding_min_with_arg(h, caps[a])
-            cand = best_h + p.idle_power + p.slope * rates
-            better = cand < f
-            f[better] = cand[better]
-            f_n[better] = n
-            f_arch[better] = a
-            f_from[better] = arg_h[better]
     exact = g[max_nodes] < f
     f[exact] = g[max_nodes][exact]
     f_n[exact] = max_nodes
@@ -302,58 +247,6 @@ def _bounded_counts_all(
         counts += counts[jump]
         jump = jump[jump]
     return counts
-
-
-def _constrained_counts_reference(
-    ordered: Sequence[ArchitectureProfile],
-    spec: "ApplicationSpec",
-    max_units: int,
-    resolution: float,
-) -> List[Combination]:
-    """Per-rate backtracking construction — the property-test reference."""
-    combos: List[Combination] = []
-    if spec.max_instances is None:
-        from .combination import build_table
-
-        base = build_table(ordered, {}, max_units * resolution, resolution, "ideal")
-        combos = [base.combination_for(k * resolution) for k in range(max_units + 1)]
-    else:
-        profs, caps, g_choice, f, f_n, f_arch, f_from = _solve_bounded_reference(
-            ordered, max_units, resolution, spec.max_instances
-        )
-        memo: Dict[Tuple[int, int, int], Combination] = {}
-        for k in range(max_units + 1):
-            if not np.isfinite(f[k]):
-                raise CombinationError(
-                    f"max_instances={spec.max_instances} cannot serve "
-                    f"rate {k * resolution}"
-                )
-            n, a = int(f_n[k]), int(f_arch[k])
-            r = int(f_from[k]) if a >= 0 else k
-            sig = (n, a, r)
-            combo = memo.get(sig)
-            if combo is None:
-                counts: Dict[ArchitectureProfile, int] = {}
-                if a >= 0:
-                    counts[profs[a]] = counts.get(profs[a], 0) + 1
-                while n > 0:
-                    choice = int(g_choice[n, r])
-                    counts[profs[choice]] = counts.get(profs[choice], 0) + 1
-                    r -= caps[choice]
-                    n -= 1
-                combo = Combination.of(counts)
-                memo[sig] = combo
-            combos.append(combo)
-    padded: Dict[Combination, Combination] = {}
-
-    def _pad(combo: Combination) -> Combination:
-        out = padded.get(combo)
-        if out is None:
-            out = enforce_min_nodes(combo, spec.min_instances, ordered)
-            padded[combo] = out
-        return out
-
-    return [c if not c else _pad(c) for c in combos]
 
 
 def constrained_table(

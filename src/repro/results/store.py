@@ -124,6 +124,9 @@ class RunStore:
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
         self._skipped: List[QuarantinedRun] = []
+        #: The sequence number this instance claimed last (``None``
+        #: until its first save scans the root).
+        self._last_seq: Optional[int] = None
 
     # -- writing -----------------------------------------------------------
     def save(self, run) -> str:
@@ -131,6 +134,16 @@ class RunStore:
 
         Accepts a :class:`ScenarioResult` or anything
         :meth:`ScenarioResult.from_run` understands (a ``ScenarioRun``).
+
+        Only the first save of an instance lists the root; later saves
+        count on from the sequence number it claimed last, so a save
+        costs the same however many runs the store holds.  Run ids stay
+        unique and increasing within one instance.  Runs another live
+        writer saves into the same root after that first scan are not
+        seen: the two writers may then claim the same sequence number
+        under different scenario names (both runs are kept, and
+        ``list()`` orders the tie by name).  A clash on the whole id
+        rescans the root.
         """
         record = (
             run
@@ -141,14 +154,20 @@ class RunStore:
         # mkdir is the claim on a sequence number: a concurrent saver of
         # the same scenario loses the race, re-derives the next free seq
         # and retries (no check-then-act window on the id itself)
+        if self._last_seq is None:
+            seq = self._next_seq()
+        else:
+            seq = self._last_seq + 1
         while True:
-            run_id = f"{self._next_seq():04d}-{record.name}"
+            run_id = f"{seq:04d}-{record.name}"
             run_dir = self.root / run_id
             try:
                 run_dir.mkdir()
             except FileExistsError:
+                seq = max(self._next_seq(), seq + 1)
                 continue
             break
+        self._last_seq = seq
         payload = json.dumps(record.to_json_dict(), indent=2) + "\n"
         if faults.check("corrupt-result", record.name):
             payload = payload[: len(payload) // 2]  # a torn write

@@ -494,23 +494,28 @@ def chunk_specs(
 
     Scenarios sharing a workload land in the same chunk, so the chunk's
     worker builds (or receives) each trace exactly once — no duplicate
-    trace construction across the pool.  A group bigger than one
-    worker's fair share (``ceil(n / jobs)``) is split into fair-share
-    pieces first: a catalogue dominated by one workload still
-    parallelises.  ``chunk_size`` caps the piece size below the fair
-    share for finer dispatch granularity — smaller chunks mean finer
-    retry/timeout units and better straggler balance, and since the
-    dispatcher distributes each workload's trace *once* via shared
-    memory (not once per piece, see :func:`run_suite`), fine-grained
-    pieces no longer pay a per-piece trace cost.
+    trace construction across the pool.  Work is counted in trace-days
+    (a scenario over a ``d``-day workload weighs ``d``): a group bigger
+    than one worker's fair share (``ceil(total trace-days / jobs)``) is
+    split into pieces of at most ``ceil(share / d)`` specs, so a
+    catalogue dominated by one workload still parallelises, and a piece
+    of a long workload weighs no more than a piece of a short one.  When
+    every spec has the same day count this is the spec-count share
+    ``ceil(n / jobs)``.
+    ``chunk_size`` caps the piece size below the fair share for finer
+    dispatch granularity — smaller chunks mean finer retry/timeout units
+    and better straggler balance, and since the dispatcher distributes
+    each workload's trace *once* via shared memory (not once per piece,
+    see :func:`run_suite`), fine-grained pieces no longer pay a
+    per-piece trace cost.
 
     Each chunk stays **one pool task** (no merging down to exactly
     ``jobs`` chunks): per-scenario runtimes vary wildly, so the pool's
     dynamic dispatch over more-tasks-than-workers balances stragglers
     the way a static assignment cannot.  Chunks are emitted largest
-    first (ties in first-appearance order) — the longest-processing-time
-    heuristic for dynamic pools — and the whole partition is
-    deterministic.
+    first by trace-days (ties in first-appearance order) — the
+    longest-processing-time heuristic for dynamic pools — and the whole
+    partition is deterministic.
     """
     if jobs < 1:
         raise ScenarioError("jobs must be >= 1")
@@ -519,14 +524,18 @@ def chunk_specs(
     groups: "OrderedDict[Tuple[WorkloadSpec, int], List[int]]" = OrderedDict()
     for i, spec in enumerate(specs):
         groups.setdefault(_workload_key(spec), []).append(i)
-    size = -(-len(specs) // jobs)  # ceil: one worker's fair share
-    if chunk_size is not None:
-        size = min(size, chunk_size)
-    pieces: List[List[int]] = []
-    for idxs in groups.values():
+    total = sum(days * len(idxs) for (_, days), idxs in groups.items())
+    share = -(-total // jobs)  # ceil: one worker's fair share of trace-days
+    pieces: List[Tuple[int, List[int]]] = []
+    for (_, days), idxs in groups.items():
+        size = -(-share // days)
+        if chunk_size is not None:
+            size = min(size, chunk_size)
         for k in range(0, len(idxs), size):
-            pieces.append(idxs[k : k + size])
-    return sorted(pieces, key=lambda idxs: (-len(idxs), idxs[0]))
+            piece = idxs[k : k + size]
+            pieces.append((days * len(piece), piece))
+    pieces.sort(key=lambda p: (-p[0], p[1][0]))
+    return [piece for _, piece in pieces]
 
 
 def _spec_outcome(

@@ -274,6 +274,18 @@ def heteroskedastic_noise(
     return np.exp(sig_t * z - 0.5 * sig_t**2)
 
 
+#: Samples per block of :func:`ar1_noise`'s recurrence: the Python floats
+#: alive at once stay bounded whatever the trace length.
+_BLOCK = 1 << 16
+
+
+def _ar1_steps(values, corr, acc):
+    """Yield ``acc = corr * acc + x`` for each ``x`` of ``values``."""
+    for x in values:
+        acc = corr * acc + x
+        yield acc
+
+
 def ar1_noise(
     duration_s: int,
     rng: np.random.Generator,
@@ -292,19 +304,21 @@ def ar1_noise(
         raise ValueError("sigma must be >= 0")
     if sigma == 0:
         return np.ones(duration_s)
-    innovations = rng.normal(0.0, sigma * math.sqrt(1 - corr**2), size=duration_s)
-    out = np.empty(duration_s)
-    # lfilter-style recursion; scipy.signal.lfilter does this in C.
-    try:
-        from scipy.signal import lfilter
-
-        out = lfilter([1.0], [1.0, -corr], innovations)
-    except Exception:  # pragma: no cover
-        acc = 0.0
-        for i, e in enumerate(innovations):
-            acc = corr * acc + e
-            out[i] = acc
-    return np.maximum(1.0 + out, 0.0)
+    y = rng.normal(0.0, sigma * math.sqrt(1 - corr**2), size=duration_s)
+    # y[n] = corr * y[n-1] + e[n], overwriting the innovations block by
+    # block.  Each step rounds twice, exactly as lfilter([1.0], [1.0,
+    # -corr], e) does, so the output is bit-identical to it without
+    # importing scipy.signal, which costs about a second per process
+    # (DESIGN.md, "synthesis without scipy.signal").
+    corr = float(corr)
+    acc = 0.0
+    for lo in range(0, duration_s, _BLOCK):
+        hi = min(lo + _BLOCK, duration_s)
+        y[lo:hi] = np.fromiter(
+            _ar1_steps(y[lo:hi].tolist(), corr, acc), float, hi - lo
+        )
+        acc = y[hi - 1].item()
+    return np.maximum(1.0 + y, 0.0)
 
 
 def compose(

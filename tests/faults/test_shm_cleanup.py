@@ -3,15 +3,19 @@
 The dispatcher owns every published trace segment.  Workers crashing
 mid-chunk (taking their attachments with them), workers hanging past
 the chunk deadline (killed and replaced underneath live segments) —
-none of it may leave a ``repro-trace-*`` entry in ``/dev/shm``, or a
-live worker process, once ``run_suite`` returns: retried chunks re-ship
-the *same* segment, and the dispatcher's ``finally`` releases
-everything after the last worker is reaped.
+none of it may leave a ``repro-trace-<pid>-*`` entry of this process in
+``/dev/shm``, or a live worker process, once ``run_suite`` returns:
+retried chunks re-ship the *same* segment, and the dispatcher's
+``finally`` releases everything after the last worker is reaped.  The
+check sees only this process's segments, so suites running at the same
+time on one host do not fail each other.
 """
 
 import glob
 import multiprocessing
+import os
 from dataclasses import replace
+from multiprocessing import shared_memory
 
 import pytest
 
@@ -33,7 +37,8 @@ def _skip_unless_available(start_method):
 
 
 def _shm_entries():
-    return glob.glob(f"/dev/shm/{SHM_PREFIX}*")
+    """This process's segments: names carry the creating process's pid."""
+    return glob.glob(f"/dev/shm/{SHM_PREFIX}{os.getpid()}-*")
 
 
 def _suite(n):
@@ -54,6 +59,20 @@ def _assert_no_leak():
     assert shm_stats()["segments_live"] == 0
     leaked = _shm_entries()
     assert not leaked, f"leaked shared-memory segments: {leaked}"
+
+
+@pytest.mark.quick
+def test_leak_check_ignores_other_processes_segments():
+    """A live segment of another process (another suite on the same
+    host) is not this process's leak."""
+    other = shared_memory.SharedMemory(
+        name=f"{SHM_PREFIX}999999999-0", create=True, size=8
+    )
+    try:
+        _assert_no_leak()
+    finally:
+        other.close()
+        other.unlink()
 
 
 @pytest.mark.parametrize("start_method", START_METHODS)

@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 
 from repro.core.combination import Combination, CombinationError, ideal_table
 from repro.core.constraints import (
-    _constrained_counts_reference,
     _solve_bounded,
-    _solve_bounded_reference,
     bounded_nodes_combination,
     bounded_nodes_table,
     constrained_table,
 )
 from repro.core.profiles import ArchitectureProfile, table_i_profiles
 from repro.sim.application import ApplicationSpec
+from table_references import (
+    _constrained_counts_reference,
+    _solve_bounded_reference,
+)
 
 #: The property suites pin the bit-identity contracts cheaply; they are
 #: part of the `quick` iteration subset (benchmarks/run_quick.py).

@@ -15,17 +15,19 @@ from hypothesis import strategies as st
 from repro.core.combination import (
     Combination,
     CombinationTable,
-    _greedy_combos_reference,
     _sliding_min_with_arg,
-    _sliding_min_with_arg_reference,
     _solve_dp,
-    _solve_dp_reference,
     build_table,
     greedy_combination,
     greedy_combination_bounded,
 )
 from repro.core.profiles import ArchitectureProfile, table_i_profiles
 from repro.core.scheduler import _row_ids
+from table_references import (
+    _greedy_combos_reference,
+    _sliding_min_with_arg_reference,
+    _solve_dp_reference,
+)
 
 #: The property suites pin the bit-identity contracts cheaply; they are
 #: part of the `quick` iteration subset (benchmarks/run_quick.py).

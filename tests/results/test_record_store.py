@@ -6,6 +6,7 @@ dict bit-identically.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +86,46 @@ class TestRunStore:
         b = store.save(bml_run.to_record())
         assert [a, b] == ["0001-paper-bml", "0002-paper-bml"]
         assert store.load(a).metrics() == store.load(b).metrics()
+
+    def test_saves_list_the_root_once(
+        self, tmp_path, bml_run, variant_run, monkeypatch
+    ):
+        """A save costs the same however many runs the store holds: only
+        an instance's first save lists the root."""
+        store = RunStore(tmp_path)
+        records = [bml_run.to_record(), variant_run.to_record()]
+        listed = []
+        iterdir = Path.iterdir
+
+        def counting_iterdir(path):
+            listed.append(path)
+            return iterdir(path)
+
+        monkeypatch.setattr(Path, "iterdir", counting_iterdir)
+        ids = [store.save(records[k % 2]) for k in range(50)]
+        assert listed == [store.root]
+        monkeypatch.undo()
+        assert [s.run_id for s in store.list()] == ids
+
+    def test_second_writer_after_first_save(
+        self, tmp_path, bml_run, variant_run
+    ):
+        """Runs another instance saves after this one's first save are
+        not seen: a clash on the whole id rescans, a different name may
+        share the sequence number."""
+        first, second = RunStore(tmp_path), RunStore(tmp_path)
+        assert first.save(bml_run) == "0001-paper-bml"
+        assert second.save(bml_run) == "0002-paper-bml"
+        assert first.save(bml_run) == "0003-paper-bml"  # clash, rescan
+        assert second.save(variant_run) == "0003-bml-window-600"
+        assert first.save(bml_run) == "0004-paper-bml"
+        assert [s.run_id for s in RunStore(tmp_path).list()] == [
+            "0001-paper-bml",
+            "0002-paper-bml",
+            "0003-bml-window-600",
+            "0003-paper-bml",
+            "0004-paper-bml",
+        ]
 
     def test_list_and_latest(self, tmp_path, bml_run, variant_run):
         store = RunStore(tmp_path)

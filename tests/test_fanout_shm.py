@@ -39,8 +39,11 @@ def _skip_unless_available(start_method):
         pytest.skip(f"platform has no {start_method} start method")
 
 
-def _shm_entries():
-    return glob.glob(f"/dev/shm/{SHM_PREFIX}*")
+def _shm_entries(pid=None):
+    """The segments of process ``pid`` (default: this one); names carry
+    the creating process's pid."""
+    pid = os.getpid() if pid is None else pid
+    return glob.glob(f"/dev/shm/{SHM_PREFIX}{pid}-*")
 
 
 def _shm_unavailable(trace):
@@ -175,6 +178,7 @@ def test_without_shm_a_trace_override_ships_through_initargs(monkeypatch):
 #: A fork suite in a fresh interpreter: one workload over four chunks
 #: (so a segment is published and attached), and one worker crash.
 _TRACKER_CHILD = """
+import os
 from dataclasses import replace
 from repro import faults, scenarios
 
@@ -191,7 +195,7 @@ with faults.injected(plan):
     out = scenarios.run_suite(
         specs, jobs=2, start_method="fork", chunk_size=1, keep_going=True
     )
-print(" ".join(type(o).__name__ for o in out))
+print(os.getpid(), " ".join(type(o).__name__ for o in out))
 """
 
 
@@ -212,11 +216,12 @@ def test_fork_workers_share_the_resource_tracker():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [
+    pid, *outcomes = proc.stdout.split()
+    assert outcomes == [
         "ScenarioRun", "FailedRun", "ScenarioRun", "ScenarioRun",
     ]
     assert "resource_tracker" not in proc.stderr, proc.stderr
-    assert not _shm_entries()
+    assert not _shm_entries(pid)
 
 
 @pytest.mark.quick

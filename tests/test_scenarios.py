@@ -269,6 +269,38 @@ class TestChunkedFanOut:
         chunks = scenarios.chunk_specs(specs, 4)
         assert sorted(len(c) for c in chunks) == [2, 2, 2, 2]
 
+    def test_fleet_grid_chunks_share_trace_days(self):
+        """The fleet grid at one seed holds 36 one-day and 36 two-day
+        points: the 2-day workload splits so that two workers get 54
+        trace-days each, not the 1-day group and the 2-day group."""
+        sweep = scenarios.get_sweep("fleet-grid")
+        axes = tuple(
+            (axis, values[:1] if axis == "seed" else values)
+            for axis, values in sweep.axes
+        )
+        specs = replace(sweep, axes=axes).expand()
+        chunks = scenarios.chunk_specs(specs, 2)
+        assert [len(c) for c in chunks] == [27, 36, 9]
+        assert [
+            sum(specs[i].workload.resolved_days() for i in c) for c in chunks
+        ] == [54, 36, 18]
+
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    def test_uniform_days_keep_the_spec_count_share(self, jobs):
+        steady = scenarios.get("pattern-steady").with_days(2)
+        flash = scenarios.get("pattern-flashcrowd").with_days(2)
+        specs = [steady] * 7 + [flash] * 2  # an odd spec count
+        size = -(-len(specs) // jobs)  # ceil(n / jobs)
+        expected = [
+            idxs[k : k + size]
+            for idxs in (list(range(7)), [7, 8])
+            for k in range(0, len(idxs), size)
+        ]
+        expected.sort(key=lambda c: (-len(c), c[0]))
+        assert scenarios.chunk_specs(specs, jobs) == expected
+        if jobs == 2:
+            assert expected == [[0, 1, 2, 3, 4], [5, 6], [7, 8]]
+
     def test_chunking_is_deterministic(self):
         specs = self._catalogue()
         assert scenarios.chunk_specs(specs, 3) == scenarios.chunk_specs(

@@ -1,7 +1,15 @@
 """Unit tests for synthetic load pattern generators."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workload import patterns
 from repro.workload.trace import SECONDS_PER_DAY
@@ -164,6 +172,58 @@ class TestNoise:
     def test_ar1_validation(self, rng):
         with pytest.raises(ValueError):
             patterns.ar1_noise(100, rng, corr=1.0)
+
+
+class TestAR1Recurrence:
+    """``ar1_noise`` runs its recurrence in Python floats, block by block;
+    its output must equal scipy's ``lfilter`` (the reference, imported
+    here only) bit for bit, across the block edges too."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 65_535, 65_536, 65_537, 200_000]),
+        seed=st.integers(0, 2**32 - 1),
+        sigma=st.floats(0.0, 1.0, exclude_min=True),
+        corr=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_bit_identical_to_lfilter(self, n, seed, sigma, corr):
+        from scipy.signal import lfilter
+
+        out = patterns.ar1_noise(n, np.random.default_rng(seed), sigma, corr)
+        e = np.random.default_rng(seed).normal(
+            0.0, sigma * math.sqrt(1 - corr**2), size=n
+        )
+        ref = np.maximum(1.0 + lfilter([1.0], [1.0, -corr], e), 0.0)
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+
+
+#: Builds a 1-day synthetic WC98 trace and a 1-day pattern trace in a
+#: fresh interpreter and reports whether scipy.signal got imported.
+_SYNTHESIS_CHILD = """
+import sys
+from repro.scenarios import WorkloadSpec
+
+WorkloadSpec().build(1)
+WorkloadSpec(source="pattern").build(1)
+print("scipy.signal" in sys.modules)
+"""
+
+
+def test_trace_synthesis_does_not_import_scipy_signal():
+    """Importing scipy.signal costs about a second per process, which
+    every suite worker would pay before its first scenario."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _SYNTHESIS_CHILD],
+        cwd=Path(__file__).resolve().parents[2],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 class TestCompose:

@@ -8,6 +8,7 @@ idempotent and the owner's unlink wins over lingering attachments.
 """
 
 import glob
+import os
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from repro.workload.worldcup import synthesize
 
 
 def _shm_entries():
-    return glob.glob(f"/dev/shm/{SHM_PREFIX}*")
+    """This process's segments: names carry the creating process's pid."""
+    return glob.glob(f"/dev/shm/{SHM_PREFIX}{os.getpid()}-*")
 
 
 @pytest.fixture()
