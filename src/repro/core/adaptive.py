@@ -39,7 +39,7 @@ from ..workload.trace import LoadTrace
 from .bml import BMLInfrastructure
 from .combination import Combination, CombinationTable
 from .prediction import LookAheadMaxPredictor, Predictor
-from .reconfiguration import SchedulePlan, _ceil_s, build_plan, transition
+from .reconfiguration import SchedulePlan, Transition, _ceil_s, build_plan, transition
 from .scheduler import ScheduleOutcome, _decision_ids, _next_decision
 
 __all__ = ["TransitionAwareScheduler", "transition_cost"]
@@ -128,7 +128,7 @@ class TransitionAwareScheduler:
         current = initial
         cur_id: Optional[int] = int(cid[0])
 
-        decisions: List[Tuple[int, Combination]] = []
+        decisions: List[Tuple[int, Combination, Transition]] = []
         t = 0
         while t < horizon:
             td = _next_decision(cid, changes, t, cur_id)
@@ -142,8 +142,8 @@ class TransitionAwareScheduler:
                 cur_id = None  # force re-evaluation at the next change
                 t = td + self.recheck_interval
                 continue
-            decisions.append((td, target))
             tr = transition(current, target)
+            decisions.append((td, target, tr))
             current = target
             # Ideal targets map to a table row, so the loop can jump to the
             # next change point; union targets are off-table and force a

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .combination import Combination
 from .profiles import ArchitectureProfile
@@ -43,33 +43,43 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Segment:
+class _SegmentFields(NamedTuple):
+    t_start: int
+    t_end: int
+    serving: Combination
+    overhead_power: float
+
+
+class Segment(_SegmentFields):
     """A span ``[t_start, t_end)`` with constant serving set and overhead.
 
     ``serving`` is the combination actually processing requests during the
     span; ``overhead_power`` is the constant extra draw of machines booting,
-    waiting for hand-over, or shutting down.
+    waiting for hand-over, or shutting down.  A tuple: plans hold and
+    pickle one per span.
     """
 
-    t_start: int
-    t_end: int
-    serving: Combination
-    overhead_power: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.t_end <= self.t_start:
-            raise ValueError(f"empty segment [{self.t_start}, {self.t_end})")
-        if self.overhead_power < 0:
+    def __new__(
+        cls,
+        t_start: int,
+        t_end: int,
+        serving: Combination,
+        overhead_power: float = 0.0,
+    ) -> "Segment":
+        if t_end <= t_start:
+            raise ValueError(f"empty segment [{t_start}, {t_end})")
+        if overhead_power < 0:
             raise ValueError("overhead power must be >= 0")
+        return tuple.__new__(cls, (t_start, t_end, serving, overhead_power))
 
     @property
     def duration(self) -> int:
         return self.t_end - self.t_start
 
 
-@dataclass(frozen=True)
-class Reconfiguration:
+class Reconfiguration(NamedTuple):
     """One reconfiguration event and its accounted overheads."""
 
     decided_at: int
@@ -150,6 +160,12 @@ class Transition(NamedTuple):
     energies accumulate from int ``0`` in ``diff`` order, so a change
     that starts nothing has ``on_energy == 0`` as an int (journal
     payloads encode it that way).
+
+    ``pieces`` is the window's piecewise-constant overhead relative to
+    the decision: contiguous ``(start, end, overhead_power,
+    serves_target)`` spans over ``[0, boot_duration + off_duration)``,
+    bounds in whole seconds.  ``serves_target`` is false before the
+    hand-over.  A change with no machine delta has no pieces.
     """
 
     starts: Tuple[Tuple[str, int], ...]
@@ -158,6 +174,7 @@ class Transition(NamedTuple):
     off_duration: int
     on_energy: float
     off_energy: float
+    pieces: Tuple[Tuple[int, int, float, bool], ...]
 
 
 def transition(current: Combination, target: Combination) -> Transition:
@@ -178,7 +195,60 @@ def transition(current: Combination, target: Combination) -> Transition:
         p = profs[name]
         off_dur = max(off_dur, _ceil_s(p.off_time))
         off_energy = off_energy + cnt * p.off_energy
-    return Transition(starts, stops, boot_dur, off_dur, on_energy, off_energy)
+
+    # Overhead power is piecewise constant; collect the change points.
+    # Booting arch a: boot power for Ont_a, then idle until hand-over.
+    # Stopping arch a: shutdown power for Offt_a after hand-over, then 0.
+    handover = boot_dur
+    boundaries = {0, handover, handover + off_dur}
+    for n, _ in starts:
+        boundaries.add(_ceil_s(profs[n].on_time))
+    for n, _ in stops:
+        boundaries.add(handover + _ceil_s(profs[n].off_time))
+    cuts = sorted(boundaries)
+    pieces = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        overhead = 0.0
+        for n, cnt in starts:
+            p = profs[n]
+            if a < _ceil_s(p.on_time):
+                # Average boot power over the (integer-rounded) duration so
+                # the integrated boot energy equals OnE exactly.
+                overhead += cnt * (p.on_energy / max(_ceil_s(p.on_time), 1))
+            elif a < handover:
+                overhead += cnt * p.idle_power  # booted, waiting for hand-over
+        for n, cnt in stops:
+            p = profs[n]
+            if handover <= a < handover + _ceil_s(p.off_time):
+                overhead += cnt * (p.off_energy / max(_ceil_s(p.off_time), 1))
+        pieces.append((a, b, overhead, a >= handover))
+    return Transition(
+        starts, stops, boot_dur, off_dur, on_energy, off_energy, tuple(pieces)
+    )
+
+
+def _emit(
+    segments: List[Segment],
+    when: int,
+    current: Combination,
+    target: Combination,
+    tr: Transition,
+    horizon: int,
+) -> Reconfiguration:
+    """Append ``tr``'s pieces, moved to ``when`` and clipped to
+    ``horizon``, to ``segments``; return the event record."""
+    for start, end, overhead, serves_target in tr.pieces:
+        a = when + start
+        if a >= horizon:
+            break
+        segments.append(
+            Segment(a, min(when + end, horizon),
+                    target if serves_target else current, overhead)
+        )
+    return Reconfiguration(
+        when, when + tr.boot_duration + tr.off_duration, current, target,
+        tr.boot_duration, tr.off_duration, tr.on_energy, tr.off_energy,
+    )
 
 
 def plan_reconfiguration(
@@ -189,73 +259,27 @@ def plan_reconfiguration(
 ) -> Tuple[List[Segment], Reconfiguration]:
     """Plan one reconfiguration; returns its segments and event record.
 
-    Segments are clipped to ``horizon`` (a reconfiguration may be decided
-    close to the end of the trace); energies are *not* pro-rated in the
-    event record, but the clipped segments carry pro-rated overhead, so the
-    integrated energy stays consistent with what physically happened before
-    the horizon.
+    The one-decision form of :func:`build_plan`'s emission.  Segments
+    are clipped to ``horizon`` (a reconfiguration may be decided close
+    to the end of the trace); energies are *not* pro-rated in the event
+    record, but the clipped segments carry pro-rated overhead, so the
+    integrated energy stays consistent with what physically happened
+    before the horizon.
     """
     tr = transition(current, target)
     if not tr.starts and not tr.stops:
         raise ValueError("reconfiguration with no machine changes")
-    profs: Dict[str, ArchitectureProfile] = {
-        p.name: p for p in current.profiles + target.profiles
-    }
-    handover = decided_at + tr.boot_duration
-    completes = handover + tr.off_duration
-
-    # Overhead power is piecewise constant; collect the change points.
-    # Booting arch a: boot power for Ont_a, then idle until hand-over.
-    # Stopping arch a: shutdown power for Offt_a after hand-over, then 0.
-    boundaries = {decided_at, handover, completes}
-    for n, _ in tr.starts:
-        boundaries.add(decided_at + _ceil_s(profs[n].on_time))
-    for n, _ in tr.stops:
-        boundaries.add(handover + _ceil_s(profs[n].off_time))
-    cuts = sorted(b for b in boundaries if decided_at <= b <= completes)
-
     segments: List[Segment] = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if a >= horizon:
-            break
-        b_clip = min(b, horizon)
-        overhead = 0.0
-        for n, cnt in tr.starts:
-            p = profs[n]
-            boot_end = decided_at + _ceil_s(p.on_time)
-            if a < boot_end:
-                # Average boot power over the (integer-rounded) duration so
-                # the integrated boot energy equals OnE exactly.
-                overhead += cnt * (p.on_energy / max(_ceil_s(p.on_time), 1))
-            elif a < handover:
-                overhead += cnt * p.idle_power  # booted, waiting for hand-over
-        for n, cnt in tr.stops:
-            p = profs[n]
-            off_end = handover + _ceil_s(p.off_time)
-            if handover <= a < off_end:
-                overhead += cnt * (p.off_energy / max(_ceil_s(p.off_time), 1))
-        serving = current if a < handover else target
-        segments.append(Segment(a, b_clip, serving, overhead))
-        if b_clip < b:
-            break
-
-    event = Reconfiguration(
-        decided_at=decided_at,
-        completes_at=completes,
-        before=current,
-        after=target,
-        boot_duration=tr.boot_duration,
-        off_duration=tr.off_duration,
-        on_energy=tr.on_energy,
-        off_energy=tr.off_energy,
-    )
+    event = _emit(segments, decided_at, current, target, tr, horizon)
     return segments, event
 
 
 def build_plan(
     horizon: int,
     initial: Combination,
-    decisions: Sequence[Tuple[int, Combination]],
+    decisions: Sequence[
+        Union[Tuple[int, Combination], Tuple[int, Combination, Transition]]
+    ],
     allow_overlap_trim: bool = False,
 ) -> SchedulePlan:
     """Assemble a full plan from ``(decision_time, target_combination)``.
@@ -266,17 +290,20 @@ def build_plan(
     decisions that fall inside a running reconfiguration — useful for
     simple calendar policies like the per-day baseline).
 
-    Each ``(before, after)`` pair is planned once and shifted to later
-    decision times — exact, as no bound, power or energy of
-    :func:`plan_reconfiguration` depends on the decision time; only a
-    reconfiguration the horizon clips is planned directly.
+    A decision may carry the transition its caller already derived, as
+    ``(when, target, transition)``.  It is trusted, and must equal
+    ``transition(current, target)`` for the combination ``current`` it
+    leaves; a bare ``(when, target)`` pair derives its own.  Each
+    reconfiguration's segments are its transition's decision-relative
+    pieces moved to ``when`` and clipped to the horizon — exact, as every
+    piece bound is an integer offset and no overhead power depends on the
+    decision time.
     """
     segments: List[Segment] = []
     events: List[Reconfiguration] = []
-    templates: Dict[Tuple[Combination, Combination], tuple] = {}
     current = initial
     t = 0
-    for when, target in decisions:
+    for when, target, *carried in decisions:
         if when >= horizon:
             break
         if when < t:
@@ -290,13 +317,8 @@ def build_plan(
             continue
         if when > t:
             segments.append(Segment(t, when, current))
-        template = templates.get((current, target))
-        if template is not None and when + template[1].duration <= horizon:
-            recon_segs, event = _shifted(template, when, current, target)
-        else:
-            recon_segs, event = plan_reconfiguration(when, current, target, horizon)
-            templates[current, target] = (recon_segs, event)
-        segments.extend(recon_segs)
+        tr = carried[0] if carried else transition(current, target)
+        event = _emit(segments, when, current, target, tr, horizon)
         events.append(event)
         current = target
         t = min(event.completes_at, horizon)
@@ -306,25 +328,4 @@ def build_plan(
         segments.append(Segment(t, horizon, current))
     return SchedulePlan(
         horizon=horizon, initial=initial, segments=segments, reconfigurations=events
-    )
-
-
-def _shifted(
-    template: Tuple[List[Segment], Reconfiguration],
-    when: int,
-    current: Combination,
-    target: Combination,
-) -> Tuple[List[Segment], Reconfiguration]:
-    """An unclipped reconfiguration plan moved to decision time ``when``."""
-    segs, ev = template
-    shift = when - ev.decided_at
-    handover = ev.decided_at + ev.boot_duration
-    return [
-        Segment(s.t_start + shift, s.t_end + shift,
-                current if s.t_start < handover else target, s.overhead_power)
-        for s in segs
-    ], Reconfiguration(
-        decided_at=when, completes_at=ev.completes_at + shift, before=current,
-        after=target, boot_duration=ev.boot_duration, off_duration=ev.off_duration,
-        on_energy=ev.on_energy, off_energy=ev.off_energy,
     )

@@ -13,9 +13,10 @@ Implementation note: the decision loop never walks the trace second by
 second.  Per-second combination ids are gathered from ids encoded once on
 the table's rows (:func:`_decision_ids`), and :class:`DecisionWalk` jumps
 from one decision to the next change point, deriving each distinct
-``(from, to)`` transition once — like its reconfiguration plan in
-:func:`~repro.core.reconfiguration.build_plan`.  The event-driven replay
-and the streaming engine run the same walk.
+machine delta's transition once;
+:func:`~repro.core.reconfiguration.build_plan` emits each plan's segments
+from the transitions the walk hands it.  The event-driven replay and the
+streaming engine run the same walk.
 """
 
 from __future__ import annotations
@@ -130,8 +131,8 @@ class BMLScheduler:
         # Each decision takes its own second's row (equal to the memoised
         # target's), so plans hold the same combination objects as ever.
         decisions = [
-            (td, table.combo_at(idx[td]))
-            for td, _, _ in walk.advance(0, cid, idx, pred, changes)
+            (td, table.combo_at(idx[td]), tr)
+            for td, _, tr in walk.advance(0, cid, idx, pred, changes)
         ]
         return ScheduleOutcome(
             plan=build_plan(horizon, initial, decisions),
@@ -227,15 +228,21 @@ class DecisionWalk:
     checks ``d_from`` itself, and a match there is no decision.
 
     The state is the current combination with its row id and grid index,
-    ``d_from``, and a memo of ``(target grid index, transition)`` per
-    ``(from_id, to_id)``: ids fix both combinations, so each distinct
-    transition is derived once.  :meth:`advance` takes the ids of any run
-    of consecutive seconds, so the planner and the replay feed it the
-    whole trace once and the streaming engine chunk by chunk, with the
-    same decisions.
+    ``d_from``, and two caches.  ``memo`` holds ``(target grid index,
+    transition)`` per ``(from_id, to_id)``: ids fix both combinations.
+    On a miss, ``deltas`` supplies the transition by machine delta, the
+    difference of the two count rows: within one table the profiles are
+    fixed and :func:`~repro.core.reconfiguration.transition` works in
+    architecture-name order, so pairs with equal deltas get bit-identical
+    transitions, and each distinct delta is derived once.  Both caches
+    are bounded by the table.  A walk whose current combination has no
+    row (an explicit initial one) derives its first transition directly.
+    :meth:`advance` takes the ids of any run of consecutive seconds, so
+    the planner and the replay feed it the whole trace once and the
+    streaming engine chunk by chunk, with the same decisions.
     """
 
-    __slots__ = ("table", "current", "cur_id", "cur_idx", "d_from", "memo")
+    __slots__ = ("table", "current", "cur_id", "cur_idx", "d_from", "memo", "deltas")
 
     def __init__(
         self,
@@ -251,6 +258,7 @@ class DecisionWalk:
         self.cur_idx = cur_idx
         self.d_from = d_from
         self.memo: Dict[Tuple[Optional[int], int], Tuple[int, Transition]] = {}
+        self.deltas: Dict[Tuple[int, ...], Transition] = {}
 
     def advance(
         self,
@@ -304,7 +312,7 @@ class DecisionWalk:
             if step is None:
                 target = int(grid_idx[s])
                 step = memo[cur_id, new_id] = (
-                    target, transition(current, table.combo_at(target))
+                    target, self._transition(current, cur_idx, target)
                 )
             target, tr = step
             current = table.combo_at(target)
@@ -319,3 +327,18 @@ class DecisionWalk:
         self.cur_id, self.cur_idx, self.current = cur_id, cur_idx, current
         self.d_from = d_from
         return out
+
+    def _transition(
+        self, current: Combination, cur_idx: Optional[int], target: int
+    ) -> Transition:
+        """The transition from ``current`` (row ``cur_idx``) to row
+        ``target``, shared by every pair with the same machine delta."""
+        after = self.table.combo_at(target)
+        if cur_idx is None:
+            return transition(current, after)
+        counts = self.table.counts_array
+        key = tuple((counts[target] - counts[cur_idx]).tolist())
+        tr = self.deltas.get(key)
+        if tr is None:
+            tr = self.deltas[key] = transition(current, after)
+        return tr

@@ -20,9 +20,9 @@ step of the pipeline is arithmetic-free or shared code:
 
 Memory is **bounded**: the engine keeps the last ``window - 1`` raw
 samples (the only part of the past a future window can still see), a few
-counters, and the walk's transition memo (bounded by distinct transition
-pairs in the table) — nothing scales with feed length, which the
-property test asserts.
+counters, and the walk's transition caches (bounded by the table's
+distinct transition pairs and machine deltas) — nothing scales with feed
+length, which the property test asserts.
 
 End-of-feed matters: the batch predictor's final ``window - 1`` entries
 are *truncated* maxima (the window clips at the series end), so those
@@ -146,7 +146,7 @@ class StreamingProvisioner:
         self._decisions_out = 0
         #: the decision walk (current combination's table row and id,
         #: next decision second); ``None`` before the first prediction.
-        #: Its transition memo is a pure cache, rebuilt after a restore.
+        #: Its transition caches are pure caches, rebuilt after a restore.
         self._walk: Optional[DecisionWalk] = None
         self._finalized = False
 

@@ -223,13 +223,9 @@ class EventDrivenReplay:
             self._pending_handover = handover
             self.queue.schedule(handover, self._handover, handover, target, stops, booted)
         self._log_reconfiguration(
-            t, target,
-            Transition(
-                tuple(starts.items()), tuple(stops.items()), boot_dur,
-                off_dur,
-                sum(cnt * profs[n].on_energy for n, cnt in starts.items()),
-                sum(cnt * profs[n].off_energy for n, cnt in stops.items()),
-            ),
+            t, target, boot_dur, off_dur,
+            sum(cnt * profs[n].on_energy for n, cnt in starts.items()),
+            sum(cnt * profs[n].off_energy for n, cnt in stops.items()),
         )
 
     def _handover(
@@ -304,23 +300,27 @@ class EventDrivenReplay:
             self.queue.schedule(
                 handover, self._handover, handover, target, stops, booted
             )
-        self._log_reconfiguration(t, target, tr)
+        self._log_reconfiguration(
+            t, target, tr.boot_duration, tr.off_duration, tr.on_energy,
+            tr.off_energy,
+        )
 
     def _log_reconfiguration(
-        self, t: int, target: Combination, tr: Transition
+        self, t: int, target: Combination, boot_duration: int,
+        off_duration: int, on_energy: float, off_energy: float,
     ) -> None:
         """Log the decision taken at ``t``; ``target`` becomes current."""
-        self._reconfig_until = t + tr.boot_duration + tr.off_duration
+        self._reconfig_until = t + boot_duration + off_duration
         self._events.append(
             Reconfiguration(
                 decided_at=t,
                 completes_at=self._reconfig_until,
                 before=self._current,
                 after=target,
-                boot_duration=tr.boot_duration,
-                off_duration=tr.off_duration,
-                on_energy=tr.on_energy,
-                off_energy=tr.off_energy,
+                boot_duration=boot_duration,
+                off_duration=off_duration,
+                on_energy=on_energy,
+                off_energy=off_energy,
             )
         )
         self._current = target
@@ -539,7 +539,10 @@ class EventDrivenReplay:
         if ep.peak > stats.peak_machines_on:
             stats.peak_machines_on = ep.peak
         self._serving = ep.serving
-        self._log_reconfiguration(t, target, tr)
+        self._log_reconfiguration(
+            t, target, tr.boot_duration, tr.off_duration, tr.on_energy,
+            tr.off_energy,
+        )
 
     def _control_pass(self) -> _ControlPlan:
         """Phase 1: walk boundaries, emit descriptors, journal the meter.

@@ -1,5 +1,7 @@
 """Unit tests for reconfiguration planning and plan assembly."""
 
+import pickle
+
 import pytest
 
 from repro.core.combination import Combination
@@ -34,6 +36,52 @@ class TestSegment:
 
     def test_duration(self):
         assert Segment(3, 10, combo(r=1)).duration == 7
+
+
+#: One record of each kind, by its fields in declaration order.
+RECORDS = [
+    (Segment, dict(t_start=3, t_end=10, serving=combo(r=1), overhead_power=2.5)),
+    (
+        Reconfiguration,
+        dict(
+            decided_at=100, completes_at=310, before=combo(c=5),
+            after=combo(p=1), boot_duration=189, off_duration=21,
+            on_energy=P.on_energy, off_energy=5 * C.off_energy,
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS)
+class TestRecordSemantics:
+    """Segments and events are tuples, with the dataclasses' semantics."""
+
+    def test_equal_fields_compare_and_hash_equal(self, cls, fields):
+        a, b = cls(**fields), cls(*fields.values())
+        assert a == b and hash(a) == hash(b)
+        first = next(iter(fields))
+        assert a != cls(**{**fields, first: fields[first] - 1})
+
+    def test_attributes_are_read_only(self, cls, fields):
+        rec = cls(**fields)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, 0)
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+        assert rec == cls(**fields)
+
+    def test_pickle_round_trip(self, cls, fields):
+        rec = cls(**fields)
+        back = pickle.loads(pickle.dumps(rec))
+        assert back == rec and type(back) is cls
+
+    def test_derived_values(self, cls, fields):
+        rec = cls(**fields)
+        start, end = list(fields.values())[:2]
+        assert rec.duration == end - start
+        if cls is Reconfiguration:
+            assert rec.switch_energy == P.on_energy + 5 * C.off_energy
 
 
 def window(current, target):

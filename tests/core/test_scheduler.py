@@ -98,6 +98,36 @@ class TestPlanDetails:
         assert out.table.max_rate >= short_trace.peak
         assert out.plan.horizon == len(short_trace)
 
+    def test_one_transition_derived_per_machine_delta(self, infra, monkeypatch):
+        """Pairs with equal machine deltas share one derived transition:
+        one Little is started and stopped next to a Medium and next to a
+        Big, and the plan derives no transition of its own."""
+        import repro.core.reconfiguration as reconfiguration
+        import repro.core.scheduler as scheduler
+        from plan_references import _plan_reference
+
+        levels = [10.0, 40.0, 10.0, 1000.0, 1335.0, 1000.0] * 2
+        trace = trace_of(np.repeat(levels, 600))
+        sched = BMLScheduler(infra, predictor=PerfectPredictor())
+        derive = reconfiguration.transition
+        calls = []
+
+        def counted(current, target):
+            calls.append((current, target))
+            return derive(current, target)
+
+        monkeypatch.setattr(scheduler, "transition", counted)
+        monkeypatch.setattr(reconfiguration, "transition", counted)
+        plan = sched.plan_detailed(trace).plan
+        monkeypatch.undo()
+        recons = plan.reconfigurations
+        deltas = {tuple(r.before.diff(r.after).items()) for r in recons}
+        assert len(deltas) < len({(r.before, r.after) for r in recons})
+        assert len(calls) == len(deltas)
+        want = _plan_reference(sched, trace).plan
+        assert plan.segments == want.segments
+        assert recons == want.reconfigurations
+
     def test_plan_serves_every_prediction_at_decision(self, infra, short_trace):
         out = BMLScheduler(infra).plan_detailed(short_trace)
         for r in out.plan.reconfigurations:

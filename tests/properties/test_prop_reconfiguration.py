@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.combination import Combination
@@ -13,6 +13,7 @@ from repro.core.reconfiguration import (
     plan_reconfiguration,
     transition,
 )
+from plan_references import _plan_reconfiguration_reference
 
 #: The property suites pin the bit-identity contracts cheaply; they are
 #: part of the `quick` iteration subset (benchmarks/run_quick.py).
@@ -95,9 +96,19 @@ def test_build_plan_always_covers_horizon(initial, raw_decisions, horizon):
         assert y.decided_at >= x.completes_at
 
 
+@given(combo_st, combo_st, st.integers(0, 5000), st.integers(1, 400))
+def test_plan_reconfiguration_equals_reference(a, b, decided_at, left):
+    """One decision's emission equals the reference planner's derivation
+    at its decision time, whether or not the horizon clips it."""
+    assume(a != b)
+    horizon = decided_at + left
+    got = plan_reconfiguration(decided_at, a, b, horizon)
+    assert got == _plan_reconfiguration_reference(decided_at, a, b, horizon)
+
+
 def _fold_reference(horizon, initial, decisions, allow_overlap_trim=False):
-    """``build_plan`` without templates: one direct
-    :func:`plan_reconfiguration` call per reconfiguration."""
+    """``build_plan`` with every reconfiguration's cut points and overheads
+    derived at its decision time: one reference-planner call each."""
     segments, events = [], []
     current, t = initial, 0
     for when, target in decisions:
@@ -111,7 +122,9 @@ def _fold_reference(horizon, initial, decisions, allow_overlap_trim=False):
             continue
         if when > t:
             segments.append(Segment(t, when, current))
-        segs, event = plan_reconfiguration(when, current, target, horizon)
+        segs, event = _plan_reconfiguration_reference(
+            when, current, target, horizon
+        )
         segments.extend(segs)
         events.append(event)
         current = target
@@ -130,8 +143,8 @@ def _assert_plan_is_fold(horizon, initial, decisions, allow_overlap_trim):
     )
     assert plan.segments == segments
     assert plan.reconfigurations == events
-    # Shifted templates carry the caller's combination objects, not the
-    # template's equal copies.
+    # Segments emitted from a transition carry the caller's combination
+    # objects, not the equal copies its transition was derived from.
     assert all(a.serving is b.serving for a, b in zip(plan.segments, segments))
     for got, want in zip(plan.reconfigurations, events):
         assert got.before is want.before and got.after is want.after
@@ -148,15 +161,16 @@ def _assert_plan_is_fold(horizon, initial, decisions, allow_overlap_trim):
     st.booleans(),
 )
 def test_build_plan_equals_direct_fold(pool, steps, tail, fresh):
-    """Templated plans equal the fold of direct ``plan_reconfiguration``
-    calls: transitions repeat (a 2-3 combination pool), close decisions
-    are trimmed, and a short tail lets the horizon clip the last one."""
+    """Plans emitted from decision-relative transitions equal the fold of
+    the reference planner: transitions repeat (a 2-3 combination pool),
+    close decisions are trimmed, and a short tail lets the horizon clip
+    the last one."""
     decisions = []
     when = 0
     for gap, k in steps:
         when += gap
         target = pool[k % len(pool)]
-        if fresh:  # equal but distinct objects still share a template
+        if fresh:  # equal but distinct objects
             target = Combination(target.items)
         decisions.append((when, target))
     horizon = when + 1 + tail
@@ -164,7 +178,7 @@ def test_build_plan_equals_direct_fold(pool, steps, tail, fresh):
 
 
 def test_build_plan_clips_a_templated_transition():
-    """A transition seen before still gets a direct, clipped plan when the
+    """A transition seen before is clipped like a fresh one when the
     horizon cuts it short."""
     a = Combination.of({TRIO[0]: 1, TRIO[2]: 2})
     b = Combination.of({TRIO[0]: 2, TRIO[1]: 1})

@@ -15,16 +15,11 @@ from hypothesis.extra.numpy import arrays
 from repro.core.combination import Combination
 from repro.core.prediction import LookAheadMaxPredictor
 from repro.core.profiles import TABLE_I
-from repro.core.reconfiguration import build_plan, transition
-from repro.core.scheduler import (
-    BMLScheduler,
-    ScheduleOutcome,
-    _next_decision,
-    _row_ids,
-)
+from repro.core.scheduler import BMLScheduler
 from repro.sim.application import ApplicationSpec
 from repro.sim.datacenter import execute_plan, lower_bound_result
 from repro.workload.trace import LoadTrace
+from plan_references import _plan_reference
 
 #: The property suites pin the bit-identity contracts cheaply; they are
 #: part of the `quick` iteration subset (benchmarks/run_quick.py).
@@ -69,52 +64,6 @@ PLANNER_CONFIGS = {
     "app-spec": {"app_spec": ApplicationSpec(min_instances=2)},
     "ideal": {"method": "ideal"},
 }
-
-
-def _plan_reference(sched: BMLScheduler, trace: LoadTrace) -> ScheduleOutcome:
-    """The per-decision planner walk: a ``(T, n_arch)`` count matrix, one
-    table lookup and one blocking-window computation per decision."""
-    horizon = len(trace)
-    pred = sched.predictor.series(trace)
-    if sched.app_spec is not None:
-        max_rate = float(max(pred.max(), trace.peak))
-        table = sched.infra.table(max_rate, sched.method, app_spec=sched.app_spec)
-    elif sched.inventory is None:
-        max_rate = float(max(pred.max(), trace.peak))
-        table = sched.infra.table(max_rate, sched.method)
-    else:
-        pred = np.minimum(pred, sched._capacity_limit())
-        table = sched.infra.table(
-            float(pred.max()), sched.method, inventory=sched.inventory
-        )
-    cid = _row_ids(table.counts_for(pred))
-    changes = np.flatnonzero(cid[1:] != cid[:-1]) + 1
-    initial = (
-        sched.initial
-        if sched.initial is not None
-        else table.combination_for(float(pred[0]))
-    )
-    current = initial
-    cur_id = cid[0] if sched.initial is None else None
-    decisions = []
-    t = 0
-    while t < horizon:
-        td = _next_decision(cid, changes, t, cur_id)
-        if td is None:
-            break
-        target = table.combination_for(float(pred[td]))
-        if target == current:
-            cur_id = cid[td]
-            t = td + 1
-            continue
-        decisions.append((td, target))
-        tr = transition(current, target)
-        current = target
-        cur_id = cid[td]
-        t = td + max(tr.boot_duration + tr.off_duration, 1)
-    return ScheduleOutcome(
-        plan=build_plan(horizon, initial, decisions), predictions=pred, table=table
-    )
 
 
 @settings(max_examples=40, deadline=None)
