@@ -3,8 +3,13 @@
 
 The repo records one pytest-benchmark JSON artifact per PR
 (``benchmarks/run_benchmarks.py``).  This checker compares the newest
-artifact against its predecessor and **fails (exit 1) when any benchmark
+artifact against the newest older one recorded on the same CPU model
+(``machine_info.cpu.brand_raw``) and **fails (exit 1) when any benchmark
 present in both slowed down by more than the threshold** (default 1.3x).
+Timings from different CPUs are not compared as if they were the same:
+with no older artifact from the current one's CPU the checker says so
+and passes, and an explicit ``--previous`` from another CPU is still
+compared, under a warning that names both CPUs.
 New benchmarks (no counterpart in the previous artifact) are reported but
 never fail; removed ones are listed for visibility.
 
@@ -22,7 +27,7 @@ restores the strict single-measurement behaviour.
 
 Usage::
 
-    python benchmarks/check_regression.py                  # newest vs previous
+    python benchmarks/check_regression.py                  # newest vs previous, same CPU
     python benchmarks/check_regression.py --current BENCH_PR2.json
     python benchmarks/check_regression.py --threshold 1.5
     python benchmarks/check_regression.py --no-retry
@@ -88,6 +93,19 @@ def load_mins(path: Path) -> Dict[str, float]:
             print(f"warning: {path.name}: {name}: non-numeric min "
                   f"{stats['min']!r}; skipping entry")
     return out
+
+
+def artifact_cpu(path: Path) -> Optional[str]:
+    """The ``machine_info.cpu.brand_raw`` an artifact was recorded on,
+    if readable."""
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    machine = data.get("machine_info") if isinstance(data, dict) else None
+    cpu = machine.get("cpu") if isinstance(machine, dict) else None
+    brand = cpu.get("brand_raw") if isinstance(cpu, dict) else None
+    return str(brand) if brand else None
 
 
 def missing_groups(
@@ -200,7 +218,8 @@ def main(
         "--previous",
         type=Path,
         default=None,
-        help="baseline artifact (default: the next artifact below the current)",
+        help="baseline artifact (default: the newest artifact below the "
+        "current one recorded on the same CPU model)",
     )
     parser.add_argument(
         "--threshold",
@@ -236,7 +255,24 @@ def main(
         if not older:
             print(f"{current_path.name}: no previous artifact; nothing to check")
             return 0
-        previous_path = older[-1]
+        cpu = artifact_cpu(current_path)
+        same_cpu = [p for p in older if artifact_cpu(p) == cpu]
+        if not same_cpu:
+            print(
+                f"{current_path.name}: no older artifact was recorded on its "
+                f"CPU ({cpu or 'unknown'}); nothing to compare"
+            )
+            return 0
+        previous_path = same_cpu[-1]
+    else:
+        cur_cpu, prev_cpu = artifact_cpu(current_path), artifact_cpu(previous_path)
+        if cur_cpu != prev_cpu:
+            print(
+                f"warning: {current_path.name} was recorded on "
+                f"{cur_cpu or 'an unknown CPU'} and {previous_path.name} on "
+                f"{prev_cpu or 'an unknown CPU'}; their timings are compared "
+                "as requested, but they are not from the same CPU"
+            )
 
     current = load_mins(current_path)
     previous = load_mins(previous_path)

@@ -85,9 +85,9 @@ def _suite_run_options() -> argparse.ArgumentParser:
         "--engine",
         choices=("twophase", "reference"),
         default=None,
-        help="replay scheduling-policy scenarios on the event-driven "
-             "two-phase engine or its per-second reference (baseline "
-             "policies keep their engine)",
+        help="replay BML-policy scenarios on the event-driven two-phase "
+             "engine or its per-second reference (other policies keep "
+             "their engine)",
     )
     opts.add_argument(
         "--stats", action="store_true",
@@ -443,6 +443,8 @@ def _print_replay_stats(results) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     engine = getattr(args, "engine", None)
+    if engine is not None and getattr(args, "policy", "bml") != "bml":
+        raise SystemExit("simulate: --engine replays the bml policy only")
     outcome = experiments.run_fig5(
         n_days=args.days,
         seed=args.seed,
@@ -644,7 +646,7 @@ def _run_suite_command(
 ) -> int:
     """The run path ``scenario run`` and ``sweep run`` share.
 
-    Applies ``--engine`` to the scheduling-policy specs, sets up the
+    Applies ``--engine`` to the bml-policy specs, sets up the
     ``--save``/``--resume`` store and the ``--retries``/``--timeout``
     policy, and runs the suite.  Exit 130 when a signal stopped it (the
     completed runs are checkpointed; ``--resume`` finishes the rest),
@@ -660,20 +662,17 @@ def _run_suite_command(
     from .results import RunStore
 
     if args.engine is not None:
-        # Only scheduling policies replay on the event-driven simulator;
-        # baselines (upper/lower bounds) have no machine-level replay.
-        policies = ("bml", "transition-aware")
-        unchanged = [
-            s.name for s in specs if s.scheduler.policy not in policies
-        ]
+        # The event-driven simulator replays the BML decision rule; the
+        # other policies (transition-aware, the bounds) keep their engine.
+        unchanged = [s.name for s in specs if s.scheduler.policy != "bml"]
         if unchanged:
             print(
-                "--engine applies to scheduling-policy scenarios only; "
+                "--engine applies to bml-policy scenarios only; "
                 "unchanged: " + ", ".join(unchanged)
             )
         engine = f"event-{args.engine}"
         specs = [
-            replace(s, engine=engine) if s.scheduler.policy in policies else s
+            replace(s, engine=engine) if s.scheduler.policy == "bml" else s
             for s in specs
         ]
     store = RunStore(args.save) if args.save else None

@@ -59,7 +59,9 @@ from .profiles import (
     table_i_profiles,
 )
 from .reconfiguration import (
+    PlanSegments,
     Reconfiguration,
+    ReconfigurationLog,
     SchedulePlan,
     Segment,
     Transition,
@@ -102,6 +104,8 @@ __all__ = [
     "paper_window",
     "Segment",
     "Reconfiguration",
+    "PlanSegments",
+    "ReconfigurationLog",
     "SchedulePlan",
     "plan_reconfiguration",
     "Transition",

@@ -14,9 +14,9 @@ second.  Per-second combination ids are gathered from ids encoded once on
 the table's rows (:func:`_decision_ids`), and :class:`DecisionWalk` jumps
 from one decision to the next change point, deriving each distinct
 machine delta's transition once;
-:func:`~repro.core.reconfiguration.build_plan` emits each plan's segments
-from the transitions the walk hands it.  The event-driven replay and the
-streaming engine run the same walk.
+:func:`~repro.core.reconfiguration.build_plan` fills each plan's columns
+from the decisions and transitions the walk hands it.  The event-driven
+replay and the streaming engine run the same walk.
 """
 
 from __future__ import annotations
@@ -100,11 +100,36 @@ class BMLScheduler:
 
     def plan_detailed(self, trace: LoadTrace) -> ScheduleOutcome:
         """Run the decision loop over ``trace`` and return plan + series."""
-        horizon = len(trace)
+        pred, table = self.decision_inputs(trace)
+        # Combination identifier per time step: two predicted rates that
+        # map to the same machine multiset must not trigger a decision.
+        cid, changes, idx = _decision_ids(table, pred)
+        if self.initial is None:
+            initial = table.combo_at(idx[0])
+            walk = DecisionWalk(table, initial, int(cid[0]), int(idx[0]))
+        else:
+            # no id for an explicit combination: check t=0 itself
+            initial = self.initial
+            walk = DecisionWalk(table, initial, None, d_from=0)
+        decisions = walk.advance(0, cid, idx, pred, changes)
+        return ScheduleOutcome(
+            plan=build_plan(len(trace), initial, decisions),
+            predictions=pred,
+            table=table,
+        )
+
+    def decision_inputs(
+        self, trace: LoadTrace
+    ) -> Tuple[np.ndarray, CombinationTable]:
+        """The prediction series and the table the decisions read.
+
+        With an inventory, predictions beyond its capacity are clamped
+        and the table is built no larger.  All three table variants go
+        through the infrastructure-level cache: repeated plan() calls
+        (ablation sweeps, replays) reuse the memoised table instead of
+        rebuilding it.
+        """
         pred = self.predictor.series(trace)
-        # All three table variants go through the infrastructure-level
-        # cache: repeated plan() calls (ablation sweeps, replays) reuse the
-        # memoised table instead of rebuilding it.
         if self.app_spec is not None:
             max_rate = float(max(pred.max(), trace.peak))
             table = self.infra.table(max_rate, self.method, app_spec=self.app_spec)
@@ -117,28 +142,7 @@ class BMLScheduler:
             table = self.infra.table(
                 max_rate, self.method, inventory=self.inventory
             )
-
-        # Combination identifier per time step: two predicted rates that
-        # map to the same machine multiset must not trigger a decision.
-        cid, changes, idx = _decision_ids(table, pred)
-        if self.initial is None:
-            initial = table.combo_at(idx[0])
-            walk = DecisionWalk(table, initial, int(cid[0]), int(idx[0]))
-        else:
-            # no id for an explicit combination: check t=0 itself
-            initial = self.initial
-            walk = DecisionWalk(table, initial, None, d_from=0)
-        # Each decision takes its own second's row (equal to the memoised
-        # target's), so plans hold the same combination objects as ever.
-        decisions = [
-            (td, table.combo_at(idx[td]), tr)
-            for td, _, tr in walk.advance(0, cid, idx, pred, changes)
-        ]
-        return ScheduleOutcome(
-            plan=build_plan(horizon, initial, decisions),
-            predictions=pred,
-            table=table,
-        )
+        return pred, table
 
 
 def _row_ids(counts: np.ndarray) -> np.ndarray:
@@ -228,21 +232,26 @@ class DecisionWalk:
     checks ``d_from`` itself, and a match there is no decision.
 
     The state is the current combination with its row id and grid index,
-    ``d_from``, and two caches.  ``memo`` holds ``(target grid index,
-    transition)`` per ``(from_id, to_id)``: ids fix both combinations.
-    On a miss, ``deltas`` supplies the transition by machine delta, the
-    difference of the two count rows: within one table the profiles are
-    fixed and :func:`~repro.core.reconfiguration.transition` works in
-    architecture-name order, so pairs with equal deltas get bit-identical
-    transitions, and each distinct delta is derived once.  Both caches
-    are bounded by the table.  A walk whose current combination has no
+    ``d_from``, the table's count rows (read once, when the walk is
+    made) and two caches.  ``memo`` holds ``(target grid index, its
+    combination, transition)`` per ``(from_id, to_id)``: ids fix both
+    combinations.  On a miss, ``deltas`` supplies the transition by
+    machine delta, the difference of the two count rows: within one
+    table the profiles are fixed and
+    :func:`~repro.core.reconfiguration.transition` works in
+    architecture-name order, so pairs with equal deltas get
+    bit-identical transitions, and each distinct delta is derived once.
+    Both caches are bounded by the table.  A walk whose current combination has no
     row (an explicit initial one) derives its first transition directly.
     :meth:`advance` takes the ids of any run of consecutive seconds, so
     the planner and the replay feed it the whole trace once and the
     streaming engine chunk by chunk, with the same decisions.
     """
 
-    __slots__ = ("table", "current", "cur_id", "cur_idx", "d_from", "memo", "deltas")
+    __slots__ = (
+        "table", "counts", "current", "cur_id", "cur_idx", "d_from", "memo",
+        "deltas",
+    )
 
     def __init__(
         self,
@@ -253,11 +262,14 @@ class DecisionWalk:
         d_from: int = 1,
     ) -> None:
         self.table = table
+        self.counts = table.counts_array
         self.current = current
         self.cur_id = cur_id
         self.cur_idx = cur_idx
         self.d_from = d_from
-        self.memo: Dict[Tuple[Optional[int], int], Tuple[int, Transition]] = {}
+        self.memo: Dict[
+            Tuple[Optional[int], int], Tuple[int, Combination, Transition]
+        ] = {}
         self.deltas: Dict[Tuple[int, ...], Transition] = {}
 
     def advance(
@@ -267,7 +279,7 @@ class DecisionWalk:
         grid_idx: np.ndarray,
         pred: np.ndarray,
         changes: Optional[np.ndarray] = None,
-    ) -> List[Tuple[int, int, Transition]]:
+    ) -> List[Tuple[int, Combination, Transition]]:
         """Decisions within seconds ``[base, base + len(cid))``.
 
         ``cid``, ``grid_idx`` and ``pred`` hold the run's per-second ids,
@@ -275,9 +287,11 @@ class DecisionWalk:
         (relative to ``base``; derived when omitted).  An id of ``-1``
         (a rate beyond the table, see :func:`_decision_ids`) raises the
         table's :class:`CombinationError` only if a decision lands on it.
-        Returns ``(second, target grid index, transition)`` triples; the
-        walk resumes after the run on the next call.  A raise leaves the
-        walk where it was before the call.
+        Returns ``(second, target combination, transition)`` triples,
+        the decisions :func:`~repro.core.reconfiguration.build_plan`
+        takes; the target is the table row of the memoised grid index.
+        The walk resumes after the run on the next call.  A raise leaves
+        the walk where it was before the call.
         """
         n = len(cid)
         memo = self.memo
@@ -286,7 +300,7 @@ class DecisionWalk:
         d_from = self.d_from
         chg: Optional[List[int]] = None  # change points, as Python ints
         pos = 0
-        out: List[Tuple[int, int, Transition]] = []
+        out: List[Tuple[int, Combination, Transition]] = []
         while True:
             s = d_from - base if d_from > base else 0
             if s >= n:
@@ -312,17 +326,17 @@ class DecisionWalk:
             if step is None:
                 target = int(grid_idx[s])
                 step = memo[cur_id, new_id] = (
-                    target, self._transition(current, cur_idx, target)
+                    target,
+                    table.combo_at(target),
+                    self._transition(current, cur_idx, target),
                 )
-            target, tr = step
-            current = table.combo_at(target)
+            cur_idx, current, tr = step
             cur_id = new_id
-            cur_idx = target
             if not tr.starts and not tr.stops:
                 # only an explicit initial combination (no id) can match
                 d_from = td + 1
                 continue
-            out.append((td, target, tr))
+            out.append((td, current, tr))
             d_from = td + max(tr.boot_duration + tr.off_duration, 1)
         self.cur_id, self.cur_idx, self.current = cur_id, cur_idx, current
         self.d_from = d_from
@@ -336,7 +350,7 @@ class DecisionWalk:
         after = self.table.combo_at(target)
         if cur_idx is None:
             return transition(current, after)
-        counts = self.table.counts_array
+        counts = self.counts
         key = tuple((counts[target] - counts[cur_idx]).tolist())
         tr = self.deltas.get(key)
         if tr is None:

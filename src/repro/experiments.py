@@ -178,7 +178,8 @@ def run_fig5(
     ``"transition-aware"`` (the Sec. VI future-work policy); ``engine``
     overrides the BML scenario's replay engine (a
     :data:`repro.scenarios.spec.ENGINES` name, e.g. ``"event-twophase"``
-    — the baselines always use the fast plan executor).
+    — the baselines always use the fast plan executor, and an event
+    engine takes the ``"bml"`` policy only).
 
     Thin wrapper over the scenario subsystem: the four specs come from
     :mod:`repro.scenarios.registry` (``paper-upper-global``,

@@ -128,9 +128,7 @@ class ScenarioResult:
             mean_power_w=result.mean_power,
             n_reconfigurations=int(result.n_reconfigurations),
             switch_energy_j=float(result.switch_energy),
-            switch_time_s=float(
-                sum(r.duration for r in result.reconfigurations)
-            ),
+            switch_time_s=float(result.reconfigurations.duration.sum()),
             total_demand=float(qos.total_demand),
             unserved_demand=float(qos.unserved_demand),
             violation_seconds=int(qos.violation_seconds),

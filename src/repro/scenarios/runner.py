@@ -426,9 +426,11 @@ def _replay(
             return execute_plan(scheduler.plan(trace), trace, label)
         from ..sim.loop import EventDrivenReplay
 
-        outcome = scheduler.plan_detailed(trace)
+        # Event engines replay the BML rule (the spec rejects any other
+        # policy) on the table the planner would read.
+        _, table = scheduler.decision_inputs(trace)
         replay = EventDrivenReplay(
-            outcome.table,
+            table,
             trace,
             predictor=predictor,
             inventory=sched.inventory_dict(),

@@ -406,7 +406,8 @@ class ScenarioSpec:
     event-driven simulator (``"event"``, the two-phase control/evaluate
     engine), or one of its explicit variants — the two-phase engine
     (``"event-twophase"``) or the per-second reference loop
-    (``"event-reference"``).  Specs naming the ``"event-segments"``
+    (``"event-reference"``).  The event engines walk the BML decision
+    rule, so they take the ``"bml"`` policy only.  Specs naming the ``"event-segments"``
     engine, deleted with the segment-compressed replay, are rejected;
     stored records keep such specs as plain dicts and still load.
     """
@@ -447,11 +448,10 @@ class ScenarioSpec:
             )
         if self.powercap is not None and not 0 < self.powercap <= 1:
             raise ScenarioError("powercap must be a fraction in (0, 1]")
-        if self.engine != "fast" and self.scheduler.policy not in (
-            "bml", "transition-aware"
-        ):
+        if self.engine != "fast" and self.scheduler.policy != "bml":
+            # The event-driven replay walks the BML decision rule only.
             raise ScenarioError(
-                f"engine {self.engine!r} requires a scheduling policy, "
+                f"engine {self.engine!r} replays the 'bml' policy only, "
                 f"not {self.scheduler.policy!r}"
             )
         object.__setattr__(self, "tags", tuple(self.tags))

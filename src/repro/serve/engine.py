@@ -260,8 +260,7 @@ class StreamingProvisioner:
             )
         before = self._walk.current
         out: List[Decision] = []
-        for td, target, tr in self._walk.advance(base, cid, idx, preds):
-            after = self.table.combo_at(target)
+        for td, after, tr in self._walk.advance(base, cid, idx, preds):
             out.append(
                 Decision(
                     decided_at=td,

@@ -52,13 +52,17 @@ def execute_plan(
     # gathered loads, scattered back.  A block one segment covers is sliced.
     # Each sample gets the same elementwise float ops as in one unblocked
     # pass, so the series are bit-identical whatever the block size.
+    # The plan's serving column indexes its distinct combination objects;
+    # a group gathers the equal ones that serve.
     segs = plan.segments
-    objects = {id(s.serving): s.serving for s in segs}  # hash each object once
+    starts = segs.t_start
+    overheads = segs.overhead_power
+    present, inverse = np.unique(segs.serving, return_inverse=True)
     groups: dict = {}
-    group_of = {k: groups.setdefault(c, len(groups)) for k, c in objects.items()}
-    gid = np.fromiter((group_of[id(s.serving)] for s in segs), np.int64, len(segs))
-    starts = np.fromiter((s.t_start for s in segs), np.int64, len(segs))
-    overheads = np.fromiter((s.overhead_power for s in segs), np.float64, len(segs))
+    group_of = [
+        groups.setdefault(segs.combos[k], len(groups)) for k in present.tolist()
+    ]
+    gid = np.asarray(group_of, np.int64)[inverse]
     curves = [(combo.capacity, *power_breakpoints(combo)) for combo in groups]
     b0s = np.arange(0, n, _BLOCK)
     k0s = np.searchsorted(starts, b0s, "right") - 1
@@ -87,9 +91,9 @@ def execute_plan(
         timestep=trace.timestep,
         power=power,
         unserved=unserved,
-        reconfigurations=list(plan.reconfigurations),
+        reconfigurations=plan.reconfigurations,
         meta={
-            "segments": len(plan.segments),
+            "segments": len(segs),
             "switch_energy_j": plan.total_switch_energy,
             "max_nodes": max(combo.total_nodes for combo in groups),
         },
@@ -129,6 +133,5 @@ def lower_bound_result(
         timestep=trace.timestep,
         power=power,
         unserved=np.zeros(len(trace)),
-        reconfigurations=[],
         meta={"table_method": table.method},
     )

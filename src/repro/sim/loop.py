@@ -67,7 +67,7 @@ from ..core.prediction import (
     Predictor,
     cached_prediction_series,
 )
-from ..core.reconfiguration import Reconfiguration, Transition, _ceil_s
+from ..core.reconfiguration import ReconfigurationLog, Transition, _ceil_s
 from ..core.scheduler import DecisionWalk, _decision_ids
 from ..workload.trace import LoadTrace
 from .application import AppInstance, Application, ApplicationSpec
@@ -164,7 +164,8 @@ class EventDrivenReplay:
         self._serving: List[Machine] = []
         self._reconfig_until = 0
         self._current = Combination.empty()
-        self._events: List[Reconfiguration] = []
+        #: one ``Reconfiguration``-field tuple per decision
+        self._events: List[tuple] = []
         self._twophase_plan: Optional[_ControlPlan] = None
         #: time of the scheduled (not yet executed) hand-over, if any —
         #: the only queued event kind whose callback reads machine loads.
@@ -311,18 +312,10 @@ class EventDrivenReplay:
     ) -> None:
         """Log the decision taken at ``t``; ``target`` becomes current."""
         self._reconfig_until = t + boot_duration + off_duration
-        self._events.append(
-            Reconfiguration(
-                decided_at=t,
-                completes_at=self._reconfig_until,
-                before=self._current,
-                after=target,
-                boot_duration=boot_duration,
-                off_duration=off_duration,
-                on_energy=on_energy,
-                off_energy=off_energy,
-            )
-        )
+        self._events.append((
+            t, self._reconfig_until, self._current, target, boot_duration,
+            off_duration, on_energy, off_energy,
+        ))
         self._current = target
 
     # -- shared pieces ------------------------------------------------------
@@ -382,7 +375,7 @@ class EventDrivenReplay:
             timestep=self.trace.timestep,
             power=power,
             unserved=unserved,
-            reconfigurations=self._events,
+            reconfigurations=ReconfigurationLog.of(self._events),
             meta=meta,
         )
 
@@ -567,7 +560,7 @@ class EventDrivenReplay:
         (so every machine is ON or OFF), and both ``t + boot + off`` and
         the record's last descriptor start fall before the next
         decision; otherwise the FSM runs it.  The key is (kernel index,
-        plan index, target grid index, shutdown victims,
+        plan index, target combination (by identity), shutdown victims,
         ``stats.migrations % n_booted``), and it is complete: the kernel
         fixes the ON set, hence the combination and the transition; the
         booted machines are the first OFF ones in pool order (a record
@@ -600,7 +593,6 @@ class EventDrivenReplay:
         cid, changes, grid_idx = _decision_ids(self.table, pred, strict=False)
         walk = DecisionWalk(self.table, initial, int(cid[0]), int(grid_idx[0]))
         sched = walk.advance(0, cid, grid_idx, pred, changes)
-        combo_at = self.table.combo_at
 
         descs: List[Tuple[int, int, int, int]] = []
         kernels: List[object] = []
@@ -684,7 +676,11 @@ class EventDrivenReplay:
                 ):
                     n_boot = sum(c for _, c in tr.starts)
                     part = (
-                        k_idx, p_idx, target,
+                        # The target by identity: the walk hands out one
+                        # object per (current id, target id) pair and the
+                        # kernel fixes the current id, so under one
+                        # kernel an object stands for one grid index.
+                        k_idx, p_idx, id(target),
                         self.stats.migrations % n_boot
                         if n_boot and tr.stops else 0,
                     )
@@ -715,7 +711,7 @@ class EventDrivenReplay:
                             )
                         elif ep.descs[-1][0] < next_decide - t:
                             self._replay_episode(
-                                ep, t, next_decide, combo_at(target), tr,
+                                ep, t, next_decide, target, tr,
                                 descs,
                             )
                             n_templated += 1
@@ -737,7 +733,7 @@ class EventDrivenReplay:
                     prev_ready, float(values[t - 1]), prev_kernel
                 )
                 run_until(t)
-                self._start_scheduled(t, combo_at(target), tr)
+                self._start_scheduled(t, target, tr)
                 state_changed = True
             elif not heap:
                 # Steady stretch: no events, and a pending hand-over

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.reconfiguration import Reconfiguration
+from ..core.reconfiguration import ReconfigurationLog
 from ..workload.trace import SECONDS_PER_DAY, LoadTrace
 
 __all__ = ["SimulationResult", "QoSReport"]
@@ -43,14 +43,21 @@ class QoSReport:
 
 @dataclass
 class SimulationResult:
-    """Outcome of replaying one scenario against a load trace."""
+    """Outcome of replaying one scenario against a load trace.
+
+    ``reconfigurations`` is a columnar
+    :class:`~repro.core.reconfiguration.ReconfigurationLog`, so a
+    pickled result carries no per-event object.
+    """
 
     scenario: str
     trace_name: str
     timestep: float
     power: np.ndarray
     unserved: np.ndarray
-    reconfigurations: List[Reconfiguration] = field(default_factory=list)
+    reconfigurations: ReconfigurationLog = field(
+        default_factory=ReconfigurationLog.of
+    )
     meta: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -105,7 +112,7 @@ class SimulationResult:
     @property
     def switch_energy(self) -> float:
         """Total On/Off overhead energy (Joules) across reconfigurations."""
-        return sum(r.switch_energy for r in self.reconfigurations)
+        return self.reconfigurations.total_switch_energy
 
     @property
     def n_reconfigurations(self) -> int:

@@ -2,18 +2,22 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.combination import Combination
 from repro.core.profiles import TABLE_I
 from repro.core.reconfiguration import (
+    PlanSegments,
     Reconfiguration,
+    ReconfigurationLog,
     SchedulePlan,
     Segment,
     build_plan,
     plan_reconfiguration,
     transition,
 )
+from repro.sim.results import SimulationResult
 
 P = TABLE_I["paravance"]
 C = TABLE_I["chromebook"]
@@ -239,3 +243,92 @@ class TestBuildPlan:
                 initial=combo(r=1),
                 segments=[Segment(0, 9, combo(r=1))],
             )
+
+
+class TestSwitchEnergyOrder:
+    """Totals add left to right, as ``sum`` over the rows did."""
+
+    #: Sixteen events: one 1 J switch, then fifteen of 2**-53 J.  Added
+    #: left to right each tiny term rounds away; NumPy's pairwise sum
+    #: pairs them up first and lands one ulp or more above 1.0.
+    ENERGIES = [1.0] + [2.0**-53] * 15
+
+    def _log(self):
+        a, b = combo(r=1), combo(r=2)
+        return ReconfigurationLog.of(
+            (100 * i, 100 * i + 16, a, b, 16, 0, e, 0.0)
+            for i, e in enumerate(self.ENERGIES)
+        )
+
+    def test_values_tell_the_orders_apart(self):
+        assert float(np.sum(self.ENERGIES)) != sum(self.ENERGIES)
+
+    def test_log_total_is_left_to_right(self):
+        log = self._log()
+        assert log.total_switch_energy == sum(r.switch_energy for r in log)
+        assert log.total_switch_energy == 1.0
+
+    def test_plan_and_result_totals_are_left_to_right(self):
+        log = self._log()
+        plan = SchedulePlan(
+            horizon=10, initial=combo(r=1),
+            segments=[Segment(0, 10, combo(r=1))], reconfigurations=log,
+        )
+        assert plan.total_switch_energy == 1.0
+        result = SimulationResult(
+            scenario="s", trace_name="t", timestep=1.0, power=np.zeros(3),
+            unserved=np.zeros(3), reconfigurations=log,
+        )
+        assert result.switch_energy == 1.0
+
+    def test_empty_totals_are_zero(self):
+        assert ReconfigurationLog.of().total_switch_energy == 0.0
+        assert build_plan(10, combo(r=1), []).total_switch_energy == 0.0
+
+
+class TestRowViews:
+    """Columns read as lists of rows."""
+
+    def _plan(self):
+        return build_plan(
+            5000,
+            combo(r=1),
+            [(100, combo(c=1)), (1000, combo(p=1)), (3000, combo(r=2))],
+        )
+
+    def test_index_slice_and_iteration(self):
+        plan = self._plan()
+        rows = list(plan.segments)
+        assert len(plan.segments) == len(rows) == 10
+        assert plan.segments[0] == rows[0] and plan.segments[-1] == rows[-1]
+        assert plan.segments[2:5] == rows[2:5]
+        assert plan.segments[::3] == rows[::3]
+        with pytest.raises(IndexError):
+            plan.segments[10]
+        events = list(plan.reconfigurations)
+        assert [e.decided_at for e in events] == [100, 1000, 3000]
+        assert plan.reconfigurations[-1] == events[-1]
+        assert rows[-1] in plan.segments
+
+    def test_rows_round_trip_through_columns(self):
+        plan = self._plan()
+        again = SchedulePlan(
+            plan.horizon, plan.initial, list(plan.segments),
+            ReconfigurationLog.of(list(plan.reconfigurations)),
+        )
+        assert isinstance(again.segments, PlanSegments)
+        assert again == plan
+        assert again.segments.combos == plan.segments.combos
+
+    def test_columns_match_the_rows(self):
+        plan = self._plan()
+        segs = plan.segments
+        assert segs.t_start.tolist() == [s.t_start for s in segs]
+        assert segs.t_end.tolist() == [s.t_end for s in segs]
+        log = plan.reconfigurations
+        assert log.duration.tolist() == [r.duration for r in log]
+        assert log.switch_energy.tolist() == [r.switch_energy for r in log]
+
+    def test_views_are_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(self._plan().segments)

@@ -4,10 +4,13 @@
 cut points and per-span overheads from the profiles at its decision
 time, the derivation :func:`repro.core.reconfiguration.transition` now
 does once, relative to the decision, for :func:`build_plan` and
-:func:`plan_reconfiguration` to emit from.  :func:`_plan_reference` is
-the per-decision scheduler walk.  The program never calls them;
-``tests/properties/test_prop_reconfiguration.py``,
-``tests/properties/test_prop_scheduler.py`` and
+:func:`plan_reconfiguration` to emit from.  :func:`_fold_reference` is
+``build_plan`` as a loop of those calls, one ``Segment`` and one
+``Reconfiguration`` row at a time, and :func:`_plan_reference` is the
+per-decision scheduler walk folded through it.  The program never calls
+them; ``tests/properties/test_prop_reconfiguration.py``,
+``tests/properties/test_prop_scheduler.py``,
+``tests/properties/test_prop_plan_columns.py`` and
 ``tests/core/test_scheduler.py`` compare against them.
 """
 
@@ -21,9 +24,9 @@ from repro.core.combination import Combination
 from repro.core.profiles import ArchitectureProfile
 from repro.core.reconfiguration import (
     Reconfiguration,
+    SchedulePlan,
     Segment,
     _ceil_s,
-    build_plan,
     transition,
 )
 from repro.core.scheduler import (
@@ -106,6 +109,37 @@ def _plan_reconfiguration_reference(
     return segments, event
 
 
+def _fold_reference(horizon, initial, decisions, allow_overlap_trim=False):
+    """``build_plan``'s rows, with every reconfiguration's cut points and
+    overheads derived at its decision time: one reference-planner call
+    each.  Returns ``(segments, events)`` as lists of rows."""
+    segments, events = [], []
+    current, t = initial, 0
+    for when, target, *_ in decisions:
+        if when >= horizon:
+            break
+        if when < t:
+            if allow_overlap_trim:
+                continue
+            raise ValueError("decision inside a running reconfiguration")
+        if target == current:
+            continue
+        if when > t:
+            segments.append(Segment(t, when, current))
+        segs, event = _plan_reconfiguration_reference(
+            when, current, target, horizon
+        )
+        segments.extend(segs)
+        events.append(event)
+        current = target
+        t = min(event.completes_at, horizon)
+        if t >= horizon:
+            break
+    if t < horizon:
+        segments.append(Segment(t, horizon, current))
+    return segments, events
+
+
 def _plan_reference(sched: BMLScheduler, trace: LoadTrace) -> ScheduleOutcome:
     """The per-decision planner walk: a ``(T, n_arch)`` count matrix, one
     table lookup and one blocking-window computation per decision."""
@@ -148,5 +182,9 @@ def _plan_reference(sched: BMLScheduler, trace: LoadTrace) -> ScheduleOutcome:
         cur_id = cid[td]
         t = td + max(tr.boot_duration + tr.off_duration, 1)
     return ScheduleOutcome(
-        plan=build_plan(horizon, initial, decisions), predictions=pred, table=table
+        plan=SchedulePlan(
+            horizon, initial, *_fold_reference(horizon, initial, decisions)
+        ),
+        predictions=pred,
+        table=table,
     )

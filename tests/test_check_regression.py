@@ -12,13 +12,15 @@ import check_regression  # noqa: E402
 import run_benchmarks  # noqa: E402
 
 
-def _artifact(path: Path, mins: dict) -> None:
+def _artifact(path: Path, mins: dict, cpu: str = None) -> None:
     payload = {
         "benchmarks": [
             {"fullname": name, "stats": {"min": value}}
             for name, value in mins.items()
         ]
     }
+    if cpu is not None:
+        payload["machine_info"] = {"cpu": {"brand_raw": cpu}}
     path.write_text(json.dumps(payload))
 
 
@@ -84,6 +86,69 @@ class TestMain:
         assert [k for k, _ in found] == [1, 2, 10]
         # newest (PR10) compared against PR2, not PR1
         assert check_regression.main(["--no-retry"]) == 1  # 10/2 slowdown
+
+
+FAST_CPU = "Intel(R) Xeon(R) Processor @ 2.70GHz"
+SLOW_CPU = "Intel(R) Xeon(R) Processor @ 2.10GHz"
+
+
+class TestSameCpuBaseline:
+    """Timings recorded on different CPUs are not compared as one."""
+
+    def test_artifact_cpu_reads_the_brand(self, tmp_path):
+        path = tmp_path / "BENCH_PR1.json"
+        _artifact(path, {"bench::x": 1.0}, cpu=SLOW_CPU)
+        assert check_regression.artifact_cpu(path) == SLOW_CPU
+        _artifact(path, {"bench::x": 1.0})
+        assert check_regression.artifact_cpu(path) is None
+        path.write_text("[1, 2]")
+        assert check_regression.artifact_cpu(path) is None
+        assert check_regression.artifact_cpu(tmp_path / "missing.json") is None
+
+    def test_default_baseline_is_newest_on_the_same_cpu(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """PR3 skips PR2, recorded elsewhere, and baselines on PR1."""
+        monkeypatch.setattr(check_regression, "ROOT", tmp_path)
+        _artifact(tmp_path / "BENCH_PR1.json", {"bench::x": 1.0}, cpu=SLOW_CPU)
+        _artifact(tmp_path / "BENCH_PR2.json", {"bench::x": 0.5}, cpu=FAST_CPU)
+        _artifact(tmp_path / "BENCH_PR3.json", {"bench::x": 1.1}, cpu=SLOW_CPU)
+        assert check_regression.main(["--no-retry"]) == 0
+        assert "BENCH_PR3.json against BENCH_PR1.json" in capsys.readouterr().out
+
+    def test_no_older_artifact_on_the_cpu_passes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(check_regression, "ROOT", tmp_path)
+        _artifact(tmp_path / "BENCH_PR5.json", {"bench::x": 1.0}, cpu=FAST_CPU)
+        _artifact(tmp_path / "BENCH_PR8.json", {"bench::x": 2.0}, cpu=SLOW_CPU)
+        assert check_regression.main(["--no-retry"]) == 0
+        out = capsys.readouterr().out
+        assert f"no older artifact was recorded on its CPU ({SLOW_CPU})" in out
+        assert "comparing" not in out
+
+    def test_explicit_previous_from_another_cpu_warns(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(check_regression, "ROOT", tmp_path)
+        prev, cur = tmp_path / "BENCH_PR5.json", tmp_path / "BENCH_PR8.json"
+        _artifact(prev, {"bench::x": 1.0}, cpu=FAST_CPU)
+        _artifact(cur, {"bench::x": 2.0}, cpu=SLOW_CPU)
+        argv = ["--no-retry", "--current", str(cur), "--previous", str(prev)]
+        assert check_regression.main(argv) == 1  # still compared
+        out = capsys.readouterr().out
+        assert "warning:" in out and FAST_CPU in out and SLOW_CPU in out
+
+    def test_explicit_previous_from_the_same_cpu_does_not_warn(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(check_regression, "ROOT", tmp_path)
+        prev, cur = tmp_path / "BENCH_PR8.json", tmp_path / "BENCH_PR9.json"
+        _artifact(prev, {"bench::x": 1.0}, cpu=SLOW_CPU)
+        _artifact(cur, {"bench::x": 1.0}, cpu=SLOW_CPU)
+        argv = ["--current", str(cur), "--previous", str(prev)]
+        assert check_regression.main(argv) == 0
+        assert "warning" not in capsys.readouterr().out
 
 
 class TestBestOfTwoRetry:

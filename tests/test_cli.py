@@ -403,6 +403,31 @@ class TestEngineFlag:
         assert "replay statistics" in out
         assert "segments" in out
 
+    def test_engine_leaves_the_transition_aware_policy_on_its_engine(
+        self, capsys
+    ):
+        """The event replay walks the BML rule only, so ``--engine``
+        keeps transition-aware scenarios on the plan executor."""
+        assert (
+            main(
+                [
+                    "scenario", "run", "transition-aware-week", "--days", "1",
+                    "--engine", "twophase",
+                ]
+            )
+            == 0
+        )
+        assert "unchanged: transition-aware-week" in capsys.readouterr().out
+
+    def test_simulate_rejects_an_engine_for_transition_aware(self):
+        with pytest.raises(SystemExit, match="bml policy only"):
+            main(
+                [
+                    "simulate", "--days", "1", "--policy", "transition-aware",
+                    "--engine", "twophase",
+                ]
+            )
+
 
 class TestScenarioRunFaultTolerance:
     """PR 7: exit codes 0/2/1 and the failure/resume surfaces."""

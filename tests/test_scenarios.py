@@ -90,6 +90,21 @@ class TestSpecRoundTrip:
                 scheduler=scenarios.SchedulerSpec(policy="lower-bound"),
             )
 
+    @pytest.mark.parametrize(
+        "engine", ["event", "event-twophase", "event-reference"]
+    )
+    def test_event_engines_take_the_bml_policy_only(self, engine):
+        """The event replay walks the BML rule: a transition-aware spec
+        on it would silently replay BML decisions instead."""
+        with pytest.raises(ScenarioError, match="transition-aware"):
+            scenarios.ScenarioSpec(
+                name="x",
+                engine=engine,
+                scheduler=scenarios.SchedulerSpec(policy="transition-aware"),
+            )
+        spec = scenarios.ScenarioSpec(name="x", engine=engine)
+        assert spec.scheduler.policy == "bml"
+
     def test_days_env_override(self, monkeypatch):
         wl = scenarios.WorkloadSpec(days=87)
         assert wl.resolved_days() == 87
@@ -501,6 +516,51 @@ class TestEngines:
     def test_engine_names_validated(self):
         with pytest.raises(ScenarioError):
             replace(scenarios.get("event-engine-day"), engine="event-warp")
+
+    def test_event_engines_read_the_table_without_planning(self, monkeypatch):
+        """The replay needs the planner's table only: no plan is built."""
+
+        def no_plan(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("an event engine built a plan")
+
+        spec = scenarios.get("event-engine-day").with_days(1)
+        want = scenarios.run_scenario(spec).result
+        monkeypatch.setattr(BMLScheduler, "plan_detailed", no_plan)
+        got = scenarios.run_scenario(spec).result
+        assert np.array_equal(got.power, want.power)
+        assert got.reconfigurations == want.reconfigurations
+
+
+class TestColumnarPath:
+    """Plans and logs stay columns from planning to a stored record."""
+
+    @pytest.mark.parametrize(
+        "name", ["paper-bml", "inventory-small-dc", "event-engine-day"]
+    )
+    def test_no_row_is_built_from_plan_to_record(self, name, monkeypatch):
+        """Wrapping the row constructors counts no ``Segment`` or
+        ``Reconfiguration`` through a run, its reply pickle and its
+        record, while reading one row counts one."""
+        import pickle
+
+        from repro.core.reconfiguration import Reconfiguration, Segment
+
+        built = {Segment: 0, Reconfiguration: 0}
+        for cls in built:
+            original = cls.__new__
+
+            def counted(kind, *args, _original=original, **kwargs):
+                built[kind] += 1
+                return _original(kind, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__new__", staticmethod(counted))
+        spec = scenarios.get(name).with_days(1)
+        run = pickle.loads(pickle.dumps(scenarios.run_scenario(spec)))
+        record = run.to_record()
+        assert record.n_reconfigurations == len(run.result.reconfigurations) > 0
+        assert built == {Segment: 0, Reconfiguration: 0}
+        run.result.reconfigurations[0]
+        assert built == {Segment: 0, Reconfiguration: 1}
 
 
 class TestStartMethods:

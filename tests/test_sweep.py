@@ -139,6 +139,20 @@ class TestValidation:
         ):
             sweep.expand()
 
+    def test_transition_aware_on_an_event_engine_names_the_point(self):
+        sweep = smoke_sweep(
+            axes=(
+                ("policy", ("bml", "transition-aware")),
+                ("engine", ("event",)),
+            )
+        )
+        with pytest.raises(
+            ScenarioError,
+            match="invalid grid point "
+            "'t-grid\\+policy=transition-aware\\+engine=event'",
+        ):
+            sweep.expand()
+
 
 class TestRoundTrip:
     def test_to_from_dict_round_trips(self):
