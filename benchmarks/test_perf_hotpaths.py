@@ -324,6 +324,36 @@ def test_perf_control_pass_week(benchmark, infra, diurnal_week_trace):
     assert plan.templated > 0
 
 
+@pytest.mark.benchmark(group="perf-settle")
+def test_perf_settle_week(benchmark, infra, diurnal_week_trace):
+    """The ledger settle alone over seven diurnal days: the journal walk
+    (``record_batch_windows``) and the per-machine fold (``finalize``).
+
+    Each round's untimed set-up runs the control and evaluate passes of
+    a fresh replay, so a round times exactly what the two-phase engine's
+    settle phase pays.  The settled total must equal a full replay's
+    ``meter_energy_j``.
+    """
+    trace = diurnal_week_trace
+    pred = LookAheadMaxPredictor(378)
+    table = infra.table(float(np.max(trace.values)))
+
+    def setup():
+        replay = EventDrivenReplay(table, trace, predictor=pred)
+        plan = replay._control_pass()
+        seg_eval = replay._evaluate_pass(plan, trace.values)[2]
+        return (replay.meter, seg_eval.__getitem__), {}
+
+    def settle(meter, resolve):
+        meter.record_batch_windows(resolve)
+        meter.finalize(len(trace))
+        return meter
+
+    meter = benchmark.pedantic(settle, setup=setup, rounds=5)
+    full = EventDrivenReplay(table, trace, predictor=pred).run()
+    assert meter.total_energy == full.meta["meter_energy_j"]
+
+
 @pytest.mark.benchmark(group="perf-control")
 def test_perf_decision_scan_day(benchmark, infra, diurnal_day_trace):
     """The batched reconfiguration bookkeeping: ids, change points and

@@ -14,9 +14,10 @@ it.
 
 from __future__ import annotations
 
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from math import copysign
+from math import copysign, frexp, inf, ldexp
 from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -36,6 +37,53 @@ _BreakTable = Tuple[np.ndarray, np.ndarray]
 #: Elements per settle block (:meth:`EnergyMeter._fold`): the settle's
 #: only buffer, whatever the trace length.
 _FOLD_BLOCK = 1 << 16
+
+#: ``2**e * _TOP`` is ``2**e - 2u``, two ulps below the top of the binade
+#: ``[2**(e-1), 2**e)``, whose ulp is ``u = 2**(e-53)``.
+_TOP = 1.0 - 2.0**-52
+
+#: The smallest positive normal float.
+_MIN_NORMAL = sys.float_info.min
+
+
+def _repeat_add(total: float, c: float, n: int) -> float:
+    """``total`` after ``n`` successive float adds of ``c``.
+
+    Needs ``c`` positive, finite and normal, and ``total`` finite and not
+    negative.  Inside one binade ``[2**(e-1), 2**e)`` every float is a
+    multiple of the ulp ``u = 2**(e-53)``, so each add rounds to the same
+    multiple ``d`` of ``u``, but for a half-ulp tie from an odd total:
+    that one rounds to the even neighbour, and every later total is even
+    and adds the same ``d``.  So once two real adds agree inside one
+    binade, ``k`` more adds are exactly ``b + k*d`` while that stays at or
+    below ``2**e - 2u``; the adds across the binade edge are taken one
+    by one.
+    """
+    while n > 1 and total < inf:
+        a = total + c
+        b = a + c
+        n -= 2
+        e = frexp(b)[1]
+        d = b - a
+        if total >= ldexp(0.5, e) and a - total == d:
+            k = n
+            if d:
+                u = ldexp(1.0, e - 53)
+                k = int((ldexp(_TOP, e) - b) / u) // int(d / u)
+                k = 0 if k < 0 else n if k > n else k
+            total = b + k * d
+            n -= k
+        else:
+            total = b
+    return total + c if n else total
+
+
+def _cumsum_block(buf: np.ndarray, pos: int, total: float) -> float:
+    """``total`` plus ``buf[1:pos]``, added left to right."""
+    buf[0] = total
+    view = buf[:pos]
+    view.cumsum(out=view)
+    return view.item(-1)
 
 
 class TelemetryLRU:
@@ -155,14 +203,16 @@ class EnergyMeter:
     (:meth:`batch_mark`), so the control pass touches no ledger math at
     all.  ``record_batch_windows`` walks the journal in chronological
     order — transitions as ``set_power`` would settle them, markers
-    resolved to run-coalesced ``(values, inverse)`` gathers of the
-    per-second powers — into per-machine *pending* streams, settled
-    when something needs the totals (:meth:`finalize` or an energy
-    query) by a **block fold** per machine: ``np.cumsum`` over
+    extending window-long runs of the per-second powers, committed as
+    ``(values, inverse)`` gathers or constant runs — into per-machine
+    *pending* streams, settled when something needs the totals
+    (:meth:`finalize` or an energy query) by a **fold** per machine
+    (:meth:`_fold`): constant runs by exact repeated-addition steps
+    (:func:`_repeat_add`), everything else by ``np.cumsum`` over
     fixed-size blocks, each carrying the running total in its first
-    element (:meth:`_fold`), so no buffer grows with the trace.  A
-    ``set_power`` on a machine with a pending stream appends its closing
-    term to the stream.  The cumsum's left-to-right order replays the
+    element, so no buffer grows with the trace.  A ``set_power`` on a
+    machine with a pending stream appends its closing term to the
+    stream.  Both add every element in stream order, replaying the
     per-second ``set_power`` chain float-for-float, so totals stay
     bit-identical.
     """
@@ -172,7 +222,7 @@ class EnergyMeter:
     _since: Dict[str, float] = field(default_factory=dict)
     #: machine -> ordered closed contributions awaiting settlement: a
     #: ``float`` is one scalar term (an interval's ``power * duration``),
-    #: a ``(values, inverse, n_closed)`` tuple is a window's first
+    #: a ``(values, inverse, n_closed)`` tuple is a run's first
     #: ``n_closed`` per-second powers (``values[inverse]`` order), or
     #: ``n_closed`` repeats of ``values`` when it is a Python ``float``.
     _pending: Dict[str, List] = field(default_factory=dict, repr=False)
@@ -203,15 +253,25 @@ class EnergyMeter:
         per-machine series ``draws[i][offset:offset+length]``, or
         ``draws[i][inverse[offset:offset+length]]`` when ``inverse`` is
         given, where a Python ``float`` ``draws[i]`` stands for a constant
-        column of that value — and the meter walks the journal inline,
-        *merging* each machine's consecutive windows that share the same
-        evaluation buffers and are adjacent in both offset and time into
-        a single gather piece.  Between two adjacent windows the unmerged
-        chain would append the closing term ``power * 1.0`` — bitwise the
-        same float the merged slice already contains at that position —
-        so pending streams, and therefore settled totals, stay
-        bit-identical to the per-window replay (pinned by
-        ``tests/properties/test_prop_replay.py``).  The producer decides
+        column of that value.  The meter walks the journal inline, giving
+        each machine one open *run* at a time: one draw over consecutive
+        seconds, committed to its pending stream as one piece when
+        something else comes.  A run lasts to the end of the window it is
+        on, and a window is extended, not replaced, by a marker with the
+        same ``machine_ids``, ``draws`` and ``inverse`` objects that
+        follows it in both offset and time.  While no ``set_power`` has
+        committed one of its runs, such a marker costs no per-machine
+        work: every run on the window grows with it.  Otherwise each
+        machine's run carries on into the marker when the marker follows
+        it in time, with the same buffers at the next offset or a
+        constant equal to the run's in value and sign; any other run is
+        committed first.  Carrying a run on keeps the chain floats:
+        between two adjacent pieces the unmerged chain would append the
+        closing term ``power * 1.0`` — bitwise the same float the merged
+        run already holds at that position — so pending streams, and
+        therefore settled totals, stay bit-identical to the per-window
+        replay (pinned by ``tests/properties/test_prop_replay.py`` and
+        ``tests/properties/test_prop_settle.py``).  The producer decides
         once per draw array whether it is constant, so the walk does no
         NumPy scalar work for constant columns.
         """
@@ -224,10 +284,10 @@ class EnergyMeter:
         since = self._since
         pending = self._pending
         # machine -> [power_now, since, pieces, open_tail, run]: one dict
-        # probe per journal step instead of one per meter attribute (the
-        # year replay walks ~10^6 steps; per-key dict churn was the
-        # walk's main cost).  ``run`` is the machine's open gather run
-        # ``[draw, inverse_base, offset, length, t_start]``.
+        # probe per journal step instead of one per meter attribute.
+        # ``run`` is the machine's open run ``[draw, inverse, offset,
+        # t_start, window]``, which ends where ``window``, a ``[ids,
+        # draws, inverse, end offset, end time]`` list, ends.
         # ``open_tail`` flags that the last pending piece is a window
         # tuple whose open (unclosed) element still backs the machine's
         # current power — a closing term of duration exactly 1.0 for
@@ -268,28 +328,15 @@ class EnergyMeter:
                 pieces.append(prev_power * dur)
 
         def commit(machine_id: str, rec: list, run: list) -> None:
-            base, invb, off, n, t0 = run
+            base, invb, off, t0, on = run
+            n = on[4] - t0
             close(machine_id, rec, t0)
             pieces = rec[2]
             if pieces is None:
                 pieces = rec[2] = []
             if type(base) is float:
-                # Constant column.  When the previous piece is a constant
-                # of the bitwise-same value (the dur==1.0 bump above just
-                # absorbed the bridge element), extend its closed count
-                # instead of appending — the chain floats are identical,
-                # one piece fewer.
                 if n > 1:
-                    prev = pieces[-1] if pieces else None
-                    if (
-                        type(prev) is tuple
-                        and type(prev[0]) is float
-                        and prev[0] == base
-                        and copysign(1.0, prev[0]) == copysign(1.0, base)
-                    ):
-                        pieces[-1] = (base, None, prev[2] + n - 1)
-                    else:
-                        pieces.append((base, None, n - 1))
+                    pieces.append((base, None, n - 1))
                 rec[0] = base
             else:
                 last = off + n - 1
@@ -304,6 +351,8 @@ class EnergyMeter:
             rec[3] = n > 1
             rec[1] = t0 + n - 1
 
+        window = None  # the last marker's window
+        intact = False  # every machine of ``window`` has its run on it
         try:
             for entry in journal:
                 if type(entry) is tuple:
@@ -314,31 +363,55 @@ class EnergyMeter:
                     run = rec[4]
                     if run is not None:
                         rec[4] = None
+                        if run[4] is window:
+                            intact = False
                         commit(machine_id, rec, run)
                     close(machine_id, rec, now)
                     rec[3] = False
                     rec[0] = power
                     rec[1] = now
-                else:
-                    machine_ids, draws, inverse, off, n, t0 = resolve(entry)
-                    if n <= 0:
+                    continue
+                machine_ids, draws, inverse, off, n, t0 = resolve(entry)
+                if n <= 0:
+                    continue
+                if (
+                    window is not None
+                    and window[3] == off
+                    and window[4] == t0
+                    and window[1] is draws
+                    and window[0] is machine_ids
+                    and window[2] is inverse
+                ):
+                    window[3] = off + n
+                    window[4] = t0 + n
+                    if intact:
                         continue
-                    for i, machine_id in enumerate(machine_ids):
-                        rec = st[machine_id]
-                        run = rec[4]
-                        base = draws[i]
-                        if (
-                            run is not None
-                            and run[0] is base
+                else:
+                    window = [machine_ids, draws, inverse, off + n, t0 + n]
+                for machine_id, base in zip(machine_ids, draws):
+                    rec = st[machine_id]
+                    run = rec[4]
+                    if run is not None:
+                        on = run[4]  # the window the run ends with
+                        if on is window:
+                            continue
+                        if on[4] == t0 and (
+                            run[0] is base
                             and run[1] is inverse
-                            and run[2] + run[3] == off
-                            and run[4] + run[3] == t0
+                            and on[3] == off
+                            or type(base) is float
+                            and type(run[0]) is float
+                            and run[0] == base
+                            and (
+                                base
+                                or copysign(1.0, run[0]) == copysign(1.0, base)
+                            )
                         ):
-                            run[3] += n
-                        else:
-                            if run is not None:
-                                commit(machine_id, rec, run)
-                            rec[4] = [base, inverse, off, n, t0]
+                            run[4] = window
+                            continue
+                        commit(machine_id, rec, run)
+                    rec[4] = [base, inverse, off, t0, window]
+                intact = True
             for machine_id, rec in st.items():
                 run = rec[4]
                 if run is not None:
@@ -379,32 +452,43 @@ class EnergyMeter:
     def _fold(total: float, pieces: List) -> float:
         """``total`` plus a stream's closed contributions, in stream order.
 
-        The stream is added in blocks of :data:`_FOLD_BLOCK` elements:
-        slot 0 of each block carries the running total, window tuples
-        become slice/gather writes straight into the block (constant
-        columns scalar fills), and one ``np.cumsum`` settles the block.
-        ``cumsum`` over a 1-D float64 array adds strictly left to right,
-        so the block fold performs exactly the adds of one cumsum over
-        the whole chain — bit-identical to folding the contributions in
-        as they happened — with one block of memory whatever the stream
+        A constant run of a positive normal constant onto a finite,
+        non-negative total is added by :func:`_repeat_add`'s exact
+        repeated-addition steps.  Everything else is added in blocks of
+        :data:`_FOLD_BLOCK` elements: slot 0 of each block carries the
+        running total, run tuples become slice/gather writes straight
+        into the block (other constants scalar fills), and one
+        ``cumsum`` settles the block.  ``cumsum`` over a 1-D float64
+        array adds strictly left to right, and a scalar term met with an
+        empty block is one float add, so every element is added in
+        stream order — bit-identical to folding the contributions in as
+        they happened — with one block of memory whatever the stream
         length.
         """
         end = _FOLD_BLOCK + 1
         buf = np.empty(end)
         pos = 1
         for piece in pieces:
-            if type(piece) is tuple:
-                values, inverse, n = piece
-            else:
+            if type(piece) is not tuple:
+                if pos == 1:
+                    total += piece
+                    continue
                 buf[pos] = piece
                 pos += 1
                 n = 0
+            else:
+                values, inverse, n = piece
+                if type(values) is float and _MIN_NORMAL <= values < inf:
+                    if pos > 1:
+                        total = _cumsum_block(buf, pos, total)
+                        pos = 1
+                    if 0.0 <= total < inf:
+                        total = _repeat_add(total, values, n)
+                        continue
             i = 0
             while True:
                 if pos == end:
-                    buf[0] = total
-                    np.cumsum(buf, out=buf)
-                    total = buf.item(-1)
+                    total = _cumsum_block(buf, end, total)
                     pos = 1
                 if not n:
                     break
@@ -415,19 +499,16 @@ class EnergyMeter:
                 elif inverse is None:
                     dst[:] = values[i:i + take]
                 else:
-                    np.take(values, inverse[i:i + take], out=dst)
+                    values.take(inverse[i:i + take], out=dst)
                 i += take
                 n -= take
                 pos += take
         if pos > 1:
-            buf[0] = total
-            view = buf[:pos]
-            np.cumsum(view, out=view)
-            total = view.item(-1)
+            total = _cumsum_block(buf, pos, total)
         return total
 
     def _flush(self, machine_id: str) -> None:
-        """Settle a machine's buffered contributions (one block fold)."""
+        """Settle a machine's buffered contributions (one fold)."""
         pieces = self._pending.pop(machine_id, None)
         if not pieces:
             return
@@ -438,8 +519,8 @@ class EnergyMeter:
     def _flush_all(self) -> None:
         """Settle every machine's buffered stream, machine by machine.
 
-        Each stream is block-folded on its own (:meth:`_fold`), so no
-        buffer ever spans the trace: memory is one block per flush.
+        Each stream is folded on its own (:meth:`_fold`), so no buffer
+        ever spans the trace: memory is one block per flush.
         """
         for machine_id in list(self._pending):
             self._flush(machine_id)

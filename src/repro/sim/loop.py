@@ -38,9 +38,10 @@ Two engines replay that rule:
   scattered back through a gather index.  The journal is settled
   afterwards by
   :meth:`~repro.sim.energy.EnergyMeter.record_batch_windows`, which
-  merges each machine's adjacent windows into run-coalesced gathers, so
-  its full contribution stream collapses to a handful of ``np.cumsum``
-  passes over the whole run.  Every kernel mirrors the per-second
+  extends each machine's open run across adjacent windows, so its
+  contribution stream is one piece per run or transition; the fold adds
+  gathered runs by block ``np.cumsum`` and constant runs by exact
+  repeated-addition steps.  Every kernel mirrors the per-second
   float-operation order exactly — equal inputs get equal outputs by
   construction — so the produced series, ledger totals, records and
   counters are **bit-identical** to the reference engine (pinned by
@@ -67,7 +68,12 @@ from ..core.prediction import (
     Predictor,
     cached_prediction_series,
 )
-from ..core.reconfiguration import ReconfigurationLog, Transition, _ceil_s
+from ..core.reconfiguration import (
+    ReconfigurationLog,
+    Transition,
+    _ceil_s,
+    _positions,
+)
 from ..core.scheduler import DecisionWalk, _decision_ids
 from ..workload.trace import LoadTrace
 from .application import AppInstance, Application, ApplicationSpec
@@ -375,8 +381,25 @@ class EventDrivenReplay:
             timestep=self.trace.timestep,
             power=power,
             unserved=unserved,
-            reconfigurations=ReconfigurationLog.of(self._events),
+            reconfigurations=self._log(),
             meta=meta,
+        )
+
+    def _log(self) -> ReconfigurationLog:
+        """``ReconfigurationLog.of(self._events)``, interning ``after`` only.
+
+        :meth:`_log_reconfiguration` makes every ``before`` the previous
+        ``after`` and the first one the initial combination, so the
+        initial's position followed by every ``after`` but the last is
+        the ``before`` column, in the same first-seen order.
+        """
+        if not self._events:
+            return ReconfigurationLog.of(())
+        cols = tuple(zip(*self._events))
+        combos, after = _positions(cols[3], first=cols[2][0])
+        before = np.concatenate(([0], after[:-1]))
+        return ReconfigurationLog(
+            cols[0], cols[1], before, after, *cols[4:], combos
         )
 
     # -- main loop ------------------------------------------------------------
@@ -868,9 +891,10 @@ class EventDrivenReplay:
         one contiguous slice write per descriptor (``power[t:b]``) from
         the per-plan accumulated series; per-(group, plan) power
         accumulation follows ``Cluster.total_power``'s machine order.
-        Returns the series plus per-descriptor ``(window, draws, offset,
-        length)`` views for the meter journal's resolver, where ``draws``
-        holds each constant column as its Python float.
+        Returns the series plus each descriptor's gather bundle
+        ``(machine_ids, draws, inverse, offset, length, t_start)``, what
+        the meter journal's resolver returns for its marker, where
+        ``draws`` holds each constant column as its Python float.
         """
         horizon = plan.horizon
         descs = plan.descs
@@ -879,9 +903,7 @@ class EventDrivenReplay:
         groups: Dict[int, List[int]] = {}
         for j, desc in enumerate(descs):
             groups.setdefault(desc[2], []).append(j)
-        seg_eval: List[Optional[Tuple[object, tuple, int, int]]] = (
-            [None] * len(descs)
-        )
+        seg_eval: List[Optional[tuple]] = [None] * len(descs)
         for k_idx, desc_ids in groups.items():
             kernel = plan.kernels[k_idx]
             n_segs = len(desc_ids)
@@ -906,7 +928,8 @@ class EventDrivenReplay:
                 d.item(0) if d.strides == (0,) and len(d) else d
                 for d in window.draws
             )
-            draw_of = dict(zip(kernel.machine_ids, draws))
+            machine_ids = kernel.machine_ids
+            draw_of = dict(zip(machine_ids, draws))
             # Per-plan accumulated series over the group's unique rates:
             # same machine iteration (= float accumulation) order as
             # Cluster.total_power.  Constant terms — plan constants and
@@ -956,7 +979,7 @@ class EventDrivenReplay:
                         unserved[t:b] = unserved_u[off:off + n]
                     else:
                         unserved[t:b] = unserved_u[inverse[off:off + n]]
-                seg_eval[j] = (window, draws, off, n)
+                seg_eval[j] = (machine_ids, draws, inverse, off, n, t)
                 off += n
         return power, unserved, seg_eval, len(groups)
 
@@ -970,27 +993,14 @@ class EventDrivenReplay:
         )
         t1 = _time.perf_counter()
         self._phase_s["evaluate"] = t1 - t0
-        descs = plan.descs
-
-        def resolve(j: int):
-            """Journal marker ``j``'s evaluated gather bundle."""
-            window, draws, off, n = seg_eval[j]
-            return (
-                window.kernel.machine_ids,
-                draws,
-                window.inverse,
-                off,
-                n,
-                descs[j][0],
-            )
-
-        self.meter.record_batch_windows(resolve)
+        # Journal marker ``j`` resolves to descriptor ``j``'s bundle.
+        self.meter.record_batch_windows(seg_eval.__getitem__)
         self._phase_s["settle"] = _time.perf_counter() - t1
         return self._finish(
             plan.horizon, power, unserved,
             {
                 "engine": "twophase",
-                "segments": len(descs),
+                "segments": len(plan.descs),
                 "serving_sets": len(plan.kernels),
                 "batches": n_batches,
                 "templated_episodes": plan.templated,

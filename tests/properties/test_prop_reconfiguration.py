@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from repro.core.combination import Combination
 from repro.core.profiles import table_i_profiles
 from repro.core.reconfiguration import (
-    Segment,
     build_plan,
     plan_reconfiguration,
     transition,
 )
-from plan_references import _plan_reconfiguration_reference
+from plan_references import _fold_reference, _plan_reconfiguration_reference
 
 #: The property suites pin the bit-identity contracts cheaply; they are
 #: part of the `quick` iteration subset (benchmarks/run_quick.py).
@@ -104,36 +103,6 @@ def test_plan_reconfiguration_equals_reference(a, b, decided_at, left):
     horizon = decided_at + left
     got = plan_reconfiguration(decided_at, a, b, horizon)
     assert got == _plan_reconfiguration_reference(decided_at, a, b, horizon)
-
-
-def _fold_reference(horizon, initial, decisions, allow_overlap_trim=False):
-    """``build_plan`` with every reconfiguration's cut points and overheads
-    derived at its decision time: one reference-planner call each."""
-    segments, events = [], []
-    current, t = initial, 0
-    for when, target in decisions:
-        if when >= horizon:
-            break
-        if when < t:
-            if allow_overlap_trim:
-                continue
-            raise ValueError("decision inside a running reconfiguration")
-        if target == current:
-            continue
-        if when > t:
-            segments.append(Segment(t, when, current))
-        segs, event = _plan_reconfiguration_reference(
-            when, current, target, horizon
-        )
-        segments.extend(segs)
-        events.append(event)
-        current = target
-        t = min(event.completes_at, horizon)
-        if t >= horizon:
-            break
-    if t < horizon:
-        segments.append(Segment(t, horizon, current))
-    return segments, events
 
 
 def _assert_plan_is_fold(horizon, initial, decisions, allow_overlap_trim):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.prediction import LookAheadMaxPredictor
+from repro.core.reconfiguration import ReconfigurationLog
 from repro.core.scheduler import BMLScheduler
 from repro.sim.datacenter import execute_plan
 from repro.sim.loop import EventDrivenReplay
@@ -74,6 +75,29 @@ class TestMachineLevelStats:
     def test_peak_machines_on_recorded(self, infra, short_trace):
         _, _, replay = run_both(infra, short_trace[:900])
         assert replay.stats.peak_machines_on >= 1
+
+
+class TestReconfigurationLog:
+    @pytest.mark.parametrize("engine", ["reference", "twophase"])
+    def test_log_interns_like_of(self, infra, short_trace, engine):
+        """The replay builds its log from the ``after`` column alone;
+        rows, ``before``/``after`` columns and ``combos`` objects equal
+        ``ReconfigurationLog.of`` over its per-decision tuples."""
+        replay = EventDrivenReplay(infra.table(short_trace.peak), short_trace)
+        log = replay.run(engine=engine).reconfigurations
+        want = ReconfigurationLog.of(replay._events)
+        assert len(log) > 1
+        assert log == want
+        assert np.array_equal(log.before, want.before)
+        assert np.array_equal(log.after, want.after)
+        assert len(log.combos) == len(want.combos)
+        assert all(a is b for a, b in zip(log.combos, want.combos))
+
+    def test_empty_log(self, infra):
+        trace = LoadTrace(np.full(600, 300.0))
+        result = EventDrivenReplay(infra.table(400.0), trace).run()
+        assert len(result.reconfigurations) == 0
+        assert result.reconfigurations.combos == ()
 
 
 class TestValidation:
