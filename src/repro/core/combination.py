@@ -143,6 +143,26 @@ class Combination:
         object.__setattr__(obj, "items", items)
         return obj
 
+    def __hash__(self) -> int:
+        """The generated dataclass hash, memoised like :attr:`counts`.
+
+        Plan execution and the breakpoint cache hash the same serving
+        combinations again and again, and each generated hash re-hashed
+        every profile's fields.
+        """
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.items,))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> Dict[str, object]:
+        # String hashes are salted per process: a memoised hash pickled to
+        # or from a spawned worker would split equal combinations in dicts.
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
+
     # -- basic views ----------------------------------------------------
     @property
     def profiles(self) -> Tuple[ArchitectureProfile, ...]:

@@ -245,11 +245,12 @@ class NoisyPredictor(Predictor):
 # Process-wide prediction-series cache
 # ---------------------------------------------------------------------------
 #
-# The sliding-maximum filter is the second-largest cost of a year-scale
-# two-phase replay (~1.3 s per run on the reference box), and sweep grids
-# over scheduler/inventory axes recompute it per grid point for the *same*
-# workload.  The cache memoises the fully post-processed series — filter
-# output plus the bounded-cluster clamp — keyed by
+# On a 183-day trace (2-vCPU Xeon) the sliding maximum takes 0.08-0.09 s,
+# and a new trace object's content digest 0.11-0.12 s, hit or miss.  Sweep
+# grids over scheduler/inventory axes would recompute the series per grid
+# point for the *same* workload.  The cache memoises the fully
+# post-processed series — filter output plus the bounded-cluster clamp —
+# keyed by
 # ``(trace content digest, trace timestep, predictor cache_token, clamp)``,
 # so any replay over an equal-content trace pays the filter once.
 #

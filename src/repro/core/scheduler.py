@@ -29,7 +29,7 @@ import numpy as np
 
 from ..workload.trace import LoadTrace
 from .bml import BMLInfrastructure
-from .combination import Combination, CombinationTable
+from .combination import _BLOCK, Combination, CombinationTable
 from .prediction import LookAheadMaxPredictor, Predictor
 from .reconfiguration import SchedulePlan, Transition, build_plan, transition
 
@@ -178,18 +178,32 @@ def _decision_ids(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-second combination ids, their change points and grid indices.
 
-    Row ids are gathered through ``table.clipped_index``'s grid rounding:
-    O(T) int64, no ``(T, n_arch)`` count matrix.  A rate beyond the table
-    raises ``counts_for``'s :class:`CombinationError` (``strict``, the
-    planners) or gets the id ``-1``, which the replay raises on only if
-    that second is checked for a decision, like the per-second reference.
+    Each ``_BLOCK``-sample block of ``pred`` is rounded to the grid by
+    ``table.clipped_index`` and its row ids are gathered straight into
+    the output, so the rounding's float temporaries stay cache-sized and
+    no ``(T, n_arch)`` count matrix is made; the change scan is one pass
+    over the ids.  A rate beyond the table raises ``counts_for``'s
+    :class:`CombinationError`, naming the largest such rate (``strict``,
+    the planners), or gets the id ``-1``, which the replay raises on only
+    if that second is checked for a decision, like the per-second
+    reference.
     """
-    idx, oob = table.clipped_index(pred)
-    cid = _row_ids(table.counts_array)[idx]
-    if oob.any():
+    rows = _row_ids(table.counts_array)
+    n = len(pred)
+    idx = np.empty(n, dtype=np.int64)
+    cid = np.empty(n, dtype=np.int64)
+    oob: List[np.ndarray] = []
+    for b0 in range(0, n, _BLOCK):
+        ib, ob = table.clipped_index(pred[b0 : b0 + _BLOCK])
+        idx[b0 : b0 + len(ib)] = ib
+        rows.take(ib, out=cid[b0 : b0 + len(ib)], mode="clip")  # ib is clamped
+        if ob.any():
+            oob.append(np.flatnonzero(ob) + b0)
+    if oob:
+        where = np.concatenate(oob)
         if strict:
-            table.counts_for(pred[oob])  # raises
-        cid[oob] = -1
+            table.counts_for(pred[where])  # raises
+        cid[where] = -1
     changes = np.flatnonzero(cid[1:] != cid[:-1]) + 1
     return cid, changes, idx
 

@@ -8,7 +8,8 @@ step of the pipeline is arithmetic-free or shared code:
 
 * the look-ahead-max predictor is a sliding **maximum** — pure
   comparisons, so computing it over ``tail + chunk`` sub-buffers picks
-  the same float64 elements the whole-trace filter would;
+  float64 elements of the same values as the whole-trace kernel (only
+  which of two signed zeros may differ, and the grid maps both to row 0);
 * combination ids come from the same ``clipped_index``/``_row_ids``
   encoding the batch engine uses;
 * the decision walk (first differing id at/after ``d_from``, blocking
@@ -44,7 +45,7 @@ import numpy as np
 
 from ..core.combination import Combination, CombinationTable
 from ..core.scheduler import DecisionWalk, _row_ids
-from ..workload.sliding import lookahead_max
+from ..workload.sliding import _complete_max, lookahead_max
 from .journal import decode_record, encode_record
 
 __all__ = ["Decision", "StreamingProvisioner", "EngineStateError"]
@@ -205,7 +206,7 @@ class StreamingProvisioner:
         k = new_preds - self._preds_out
         decisions: List[Decision] = []
         if k > 0:
-            preds = lookahead_max(buf, self.window)[:k]
+            preds = _complete_max(buf, self.window, k)
             decisions = self._advance(preds)
             self._preds_out = new_preds
         keep = self.window - 1

@@ -9,7 +9,7 @@ generator used for the Fig. 5 reproduction
 look-ahead predictor is built on (:mod:`~repro.workload.sliding`).
 """
 
-from .sliding import lookahead_max, lookahead_max_reference, trailing_max
+from .sliding import lookahead_max, trailing_max
 from .trace import SECONDS_PER_DAY, LoadTrace, TraceError, TraceIngestError
 from .wc98format import read_records, read_trace, records_to_trace, write_records
 from .worldcup import PAPER_DAYS, MatchEvent, WorldCupSynthesizer, synthesize
@@ -20,7 +20,6 @@ __all__ = [
     "TraceIngestError",
     "SECONDS_PER_DAY",
     "lookahead_max",
-    "lookahead_max_reference",
     "trailing_max",
     "WorldCupSynthesizer",
     "MatchEvent",

@@ -61,18 +61,28 @@ def diurnal(
 
     A raised cosine peaking at ``peak_hour`` (local time); ``sharpness > 1``
     narrows the daily peak (evening-traffic shape), ``< 1`` flattens it.
+    Every step runs in place on the output, so a year of seconds costs one
+    array, not one per intermediate.
     """
     duration_s = _check_duration(duration_s)
     if not 0 <= low <= high:
         raise ValueError("need 0 <= low <= high")
-    t = np.arange(duration_s, dtype=float)
-    phase = 2 * math.pi * ((t / SECONDS_PER_DAY) - peak_hour / 24.0)
-    base = 0.5 * (1 + np.cos(phase))  # 1 at peak_hour, 0 at peak_hour + 12h
+    if sharpness <= 0:
+        raise ValueError("sharpness must be > 0")
+    out = np.arange(duration_s, dtype=float)
+    # phase = 2 pi (t / day - peak_hour / 24), then 0.5 (1 + cos(phase)):
+    # 1 at peak_hour, 0 at peak_hour + 12h.
+    np.divide(out, SECONDS_PER_DAY, out=out)
+    np.subtract(out, peak_hour / 24.0, out=out)
+    np.multiply(2 * math.pi, out, out=out)
+    np.cos(out, out=out)
+    np.add(1, out, out=out)
+    np.multiply(0.5, out, out=out)
     if sharpness != 1.0:
-        if sharpness <= 0:
-            raise ValueError("sharpness must be > 0")
-        base = base**sharpness
-    return low + (high - low) * base
+        out **= sharpness  # the scalar-power fast paths of ``base**sharpness``
+    np.multiply(high - low, out, out=out)
+    np.add(low, out, out=out)
+    return out
 
 
 def weekly(
@@ -87,9 +97,11 @@ def weekly(
     ``weekend_level``, other days ``weekday_level``.
     """
     duration_s = _check_duration(duration_s)
-    days = np.arange(duration_s) // SECONDS_PER_DAY + start_weekday
-    is_weekend = (days % 7) >= 5
-    return np.where(is_weekend, weekend_level, weekday_level).astype(float)
+    out = np.full(duration_s, weekday_level, dtype=float)
+    for lo in range(0, duration_s, SECONDS_PER_DAY):
+        if (lo // SECONDS_PER_DAY + start_weekday) % 7 >= 5:
+            out[lo : lo + SECONDS_PER_DAY] = weekend_level
+    return out
 
 
 def linear_trend(duration_s: int, start: float = 1.0, end: float = 1.0) -> np.ndarray:
@@ -336,7 +348,8 @@ def compose(
         if len(a) != len(out):
             raise ValueError("addend length mismatch")
         out += a
-    return np.maximum(out, 0.0)
+    np.maximum(out, 0.0, out=out)
+    return out
 
 
 def make_trace(

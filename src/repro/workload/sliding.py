@@ -3,27 +3,25 @@
 The paper emulates its load prediction mechanism by taking, at each time
 step, the **maximum load value over a look-ahead window** of 378 s (twice
 the longest switch-on duration).  Computing that for multi-million-second
-traces is the hot path of the proactive scheduler, so the default
-implementation delegates to :func:`scipy.ndimage.maximum_filter1d`
-(O(n) in C); a pure-Python monotonic-deque implementation is kept as the
-reference for property tests.
+traces is the hot path of the proactive scheduler.  Both directions run
+one NumPy kernel, a doubling maximum over blocks (:func:`_doubling_max`),
+so no temporary is trace-length and every output is one of the input's
+samples.  The streaming engine's short buffers take
+:func:`_complete_max`.  The pure-Python monotonic deque these are
+property-tested against lives in ``tests/table_references.py``.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, Sequence
+import operator
+from typing import Sequence
 
 import numpy as np
 
-try:  # scipy is an optional accelerator; numpy fallback below.
-    from scipy.ndimage import maximum_filter1d as _maxfilter
-except Exception:  # pragma: no cover - scipy is present in the test env
-    _maxfilter = None
+from .patterns import _BLOCK
 
 __all__ = [
     "lookahead_max",
-    "lookahead_max_reference",
     "trailing_max",
 ]
 
@@ -37,61 +35,106 @@ def _validate(values: np.ndarray, window: int) -> np.ndarray:
     return arr
 
 
+def _doubling_max(arr: np.ndarray, w: int, lead: int, fill: float) -> np.ndarray:
+    """``out[t] = max(ext[t : t + w])`` for ``t < len(arr)``.
+
+    ``ext`` is ``arr`` behind ``lead`` copies of ``fill`` and followed by
+    ``w - 1 - lead`` more: it is never built; a block that reaches past
+    ``arr`` copies its slice of it, and any other block is read in place.
+    A block of ``max(_BLOCK, 4 * w)`` outputs reads ``w - 1`` more inputs,
+    so no input is read by more than two blocks, and those extra inputs
+    add at most a quarter to a block's work.  Step ``s`` (1, 2,
+    4, ... while ``2s <= w``) turns maxima of ``s`` samples into maxima of
+    ``2s`` with one ``np.maximum`` between two buffers (overlapping
+    operands would make NumPy buffer a copy), and the last step joins the
+    two overlapping power-of-two spans that cover the window.  A maximum
+    returns one of its operands, so each output is one of the window's
+    largest samples, bit for bit.  Which of two equal operands comes back
+    is up to NumPy; among float64 loads that shows only for ``-0.0``
+    against ``0.0``, which the grid rounding maps to the same row.
+    """
+    n = len(arr)
+    w = operator.index(w)  # NumPy integers too; a float window raises
+    out = np.empty(n)
+    block = max(_BLOCK, 4 * w)
+    span = 1 << (w.bit_length() - 1)  # largest power of two <= w
+    size = min(block, n) + w - 1
+    x, y = np.empty(size), np.empty(size)
+    for b0 in range(0, n, block):
+        m = min(block, n - b0)
+        length = m + w - 1
+        lo = b0 - lead  # the block's first input, in ``arr`` coordinates
+        a, b = max(lo, 0), min(lo + length, n)
+        if b - a == length:
+            src = arr[a:b]  # no fill: the first step reads ``arr`` itself
+        else:
+            x[: a - lo] = fill
+            x[a - lo : b - lo] = arr[a:b]
+            x[b - lo : length] = fill
+            src = x
+        s = 1
+        while 2 * s <= w:
+            length -= s
+            dst = x if src is y else y
+            np.maximum(src[:length], src[s : length + s], out=dst[:length])
+            src = dst
+            s *= 2
+        np.maximum(
+            src[:m], src[w - span : w - span + m], out=out[b0 : b0 + m]
+        )
+    return out
+
+
 def lookahead_max(values: Sequence[float], window: int) -> np.ndarray:
     """``out[t] = max(values[t : t + window])`` for every ``t``.
 
     Near the end of the series the window truncates to the remaining
     samples (the scheduler keeps serving the real tail of the trace).
+    Past the end, blocks repeat the final sample, which every truncated
+    window holds already (scipy's ``mode="nearest"``).
     """
     arr = _validate(np.asarray(values), window)
     n = len(arr)
     if n == 0:
         return arr.copy()
-    w = min(window, n)
-    if _maxfilter is not None:
-        # Shift the filter window right with origin = -(w // 2) so it
-        # covers [t, t + w - 1] (verified for even and odd sizes).
-        # ``mode="nearest"`` repeats the final sample past the end, and a
-        # truncated tail window always contains that final sample — so
-        # its max is exactly the truncated max, with no padded copy of
-        # the input and an owndata result (cache-friendly upstream).
-        return _maxfilter(arr, size=w, mode="nearest", origin=-(w // 2))
-    return lookahead_max_reference(arr, w)
+    return _doubling_max(arr, min(window, n), 0, arr[-1])
 
 
-def lookahead_max_reference(values: Sequence[float], window: int) -> np.ndarray:
-    """Monotonic-deque reference implementation (O(n), pure Python)."""
-    arr = _validate(np.asarray(values), window)
-    n = len(arr)
-    out = np.empty(n)
-    dq: deque = deque()  # indices, values decreasing
-    # Sweep right-to-left: window [t, t+window-1].
-    for t in range(n - 1, -1, -1):
-        while dq and arr[dq[-1]] <= arr[t]:
-            dq.pop()
-        dq.append(t)
-        while dq and dq[0] > t + window - 1:
-            dq.popleft()
-        out[t] = arr[dq[0]]
-    return out
+def _complete_max(values: np.ndarray, w: int, k: int) -> np.ndarray:
+    """``max(values[t : t + w])`` for ``t < k``: windows ``values`` holds whole.
+
+    The streaming engine's step (``k + w - 1 <= len(values)``): its
+    ``w - 1`` kept samples plus a chunk, and the ``k`` predictions the
+    chunk completes.  For ``k <= w`` window ``t`` is ``values[t:k]``
+    followed by ``values[k : t + w]``, so its maximum joins a suffix
+    maximum of ``values[:k]`` with a prefix maximum of ``values[k:]``: two
+    accumulations and one maximum, where the doubling kernel makes about
+    ``log2(w)`` NumPy calls.  Longer runs (a backlog fed at once) take
+    :func:`lookahead_max`.  The values equal the doubling kernel's; which
+    of two signed zeros comes back may differ, as there.
+    """
+    if k > w:
+        return lookahead_max(values[: k + w - 1], w)[:k]
+    head = np.maximum.accumulate(values[k - 1 :: -1])[::-1]  # max(values[t:k])
+    rest = np.maximum.accumulate(values[k : k + w - 1])  # max(values[k:k+j+1])
+    d = w - k
+    lo = 0 if d else 1  # with k == w, window 0 is values[:k]
+    np.maximum(head[lo:], rest[d - 1 + lo : d - 1 + k], out=head[lo:])
+    return head
 
 
 def trailing_max(values: Sequence[float], window: int) -> np.ndarray:
     """``out[t] = max(values[max(0, t - window + 1) : t + 1])``.
 
     The backward-looking counterpart, useful for reactive policies that
-    hold capacity for recently seen peaks.  Delegates to scipy's O(n) C
-    filter like :func:`lookahead_max`; the deque is only the fallback.
+    hold capacity for recently seen peaks.  The same doubling kernel as
+    :func:`lookahead_max`, with each window ending at ``t``: blocks put
+    ``-inf`` before the first sample, which truncates the leading
+    windows exactly.
     """
     arr = _validate(np.asarray(values), window)
     n = len(arr)
     if n == 0:
         return arr.copy()
     w = min(window, n)
-    if _maxfilter is not None:
-        # Shift the filter window left so it covers [t - w + 1, t]; the
-        # -inf boundary fill truncates the leading windows exactly.
-        return _maxfilter(
-            arr, size=w, mode="constant", cval=-np.inf, origin=(w - 1) // 2
-        )
-    return lookahead_max_reference(arr[::-1], w)[::-1].copy()
+    return _doubling_max(arr, w, w - 1, -np.inf)

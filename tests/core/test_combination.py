@@ -1,6 +1,11 @@
 """Unit tests for combinations: Step 5 greedy, exact DP, tables."""
 
 import itertools
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +72,64 @@ class TestCombinationBasics:
         p, _, r = trio
         assert Combination.of({p: 2, r: 1}).describe() == "2xparavance + 1xraspberry"
         assert Combination.empty().describe() == "(empty)"
+
+
+#: Pickles a hashed combination under one hash seed (``dump``), or looks
+#: a pickled one up among its equals under another (``load``).
+_HASH_CHILD = """
+import pickle, sys
+from repro.core.combination import Combination
+from repro.core.profiles import TABLE_I
+
+p, c = TABLE_I["paravance"], TABLE_I["chromebook"]
+fresh = Combination.of({p: 1, c: 2})
+if sys.argv[1] == "dump":
+    hash(fresh)
+    sys.stdout.write(pickle.dumps(fresh).hex())
+else:
+    loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+    table = {fresh: "found"}
+    print(table.get(loaded), hash(loaded) == hash(fresh), loaded in {fresh})
+"""
+
+
+class TestCombinationHash:
+    """``__hash__`` is memoised on the instance, as ``counts`` is."""
+
+    def test_equal_constructions_hash_equal(self, trio):
+        p, c, r = trio
+        built = Combination.of({r: 1, p: 2, c: 0})
+        normalized = Combination._from_normalized(((p, 2), (r, 1)))
+        assert built == normalized
+        assert hash(built) == hash(normalized) == hash((built.items,))
+        assert hash(built) == hash(built)  # the memo answers the same
+        assert {built: 1}[normalized] == 1
+
+    def test_memo_stays_out_of_the_pickle(self, trio):
+        combo = Combination.of({trio[0]: 1, trio[2]: 3})
+        hash(combo)
+        loaded = pickle.loads(pickle.dumps(combo))
+        assert "_hash" in combo.__dict__ and "_hash" not in loaded.__dict__
+        assert loaded == combo and hash(loaded) == hash(combo)
+
+    def test_pickled_to_another_hash_seed_finds_its_equal(self):
+        def child(mode, seed, stdin=None):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+            proc = subprocess.run(
+                [sys.executable, "-c", _HASH_CHILD, mode],
+                cwd=Path(__file__).resolve().parents[2],
+                env=env,
+                input=stdin,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        pickled = child("dump", "1")
+        assert child("load", "2", pickled).split() == ["found", "True", "True"]
 
 
 class TestCombinationPower:

@@ -1,5 +1,10 @@
 """Unit tests for load predictors."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -152,3 +157,34 @@ class TestPredictInterface:
     def test_predict_single_step(self, sawtooth):
         p = LookAheadMaxPredictor(3)
         assert p.predict(sawtooth, 9) == 9.0
+
+
+#: Imports the CLI and computes one look-ahead series in a fresh
+#: interpreter, then reports whether any scipy module got imported.
+_NO_SCIPY_CHILD = """
+import sys
+import numpy as np
+import repro.cli
+from repro.core.prediction import LookAheadMaxPredictor
+
+LookAheadMaxPredictor().series(np.arange(5000.0) % 97.0)
+print(any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
+"""
+
+
+def test_import_and_lookahead_series_load_no_scipy():
+    """The sliding maxima are NumPy kernels: importing ``repro`` and
+    predicting must not pay scipy's import (only ``EWMAPredictor`` still
+    loads ``scipy.signal``, when it runs)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_CHILD],
+        cwd=Path(__file__).resolve().parents[2],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

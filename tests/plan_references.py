@@ -7,8 +7,10 @@ does once, relative to the decision, for :func:`build_plan` and
 :func:`plan_reconfiguration` to emit from.  :func:`_fold_reference` is
 ``build_plan`` as a loop of those calls, one ``Segment`` and one
 ``Reconfiguration`` row at a time, and :func:`_plan_reference` is the
-per-decision scheduler walk folded through it.  The program never calls
-them; ``tests/properties/test_prop_reconfiguration.py``,
+per-decision scheduler walk folded through it.
+:func:`_decision_ids_reference` gathers the decision ids in one pass
+over the whole series, through trace-length temporaries.  The program
+never calls them; ``tests/properties/test_prop_reconfiguration.py``,
 ``tests/properties/test_prop_scheduler.py``,
 ``tests/properties/test_prop_plan_columns.py`` and
 ``tests/core/test_scheduler.py`` compare against them.
@@ -20,7 +22,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.combination import Combination
+from repro.core.combination import Combination, CombinationTable
 from repro.core.profiles import ArchitectureProfile
 from repro.core.reconfiguration import (
     Reconfiguration,
@@ -36,6 +38,20 @@ from repro.core.scheduler import (
     _row_ids,
 )
 from repro.workload.trace import LoadTrace
+
+
+def _decision_ids_reference(
+    table: CombinationTable, pred: np.ndarray, *, strict: bool = True
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`repro.core.scheduler._decision_ids` in one whole-series pass."""
+    idx, oob = table.clipped_index(pred)
+    cid = _row_ids(table.counts_array)[idx]
+    if oob.any():
+        if strict:
+            table.counts_for(pred[oob])  # raises
+        cid[oob] = -1
+    changes = np.flatnonzero(cid[1:] != cid[:-1]) + 1
+    return cid, changes, idx
 
 
 def _plan_reconfiguration_reference(

@@ -12,14 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.combination import Combination
+from repro.core.combination import Combination, CombinationError
 from repro.core.prediction import LookAheadMaxPredictor
 from repro.core.profiles import TABLE_I
-from repro.core.scheduler import BMLScheduler
+from repro.core.scheduler import BMLScheduler, _decision_ids
 from repro.sim.application import ApplicationSpec
 from repro.sim.datacenter import execute_plan, lower_bound_result
 from repro.workload.trace import LoadTrace
-from plan_references import _plan_reference
+from plan_references import _decision_ids_reference, _plan_reference
 
 #: The property suites pin the bit-identity contracts cheaply; they are
 #: part of the `quick` iteration subset (benchmarks/run_quick.py).
@@ -141,6 +141,44 @@ def test_unserved_only_during_reconfigurations(infra_session, load):
     windows = [(r.decided_at, r.completes_at) for r in plan.reconfigurations]
     for t in violating:
         assert any(a <= t < b for a, b in windows)
+
+
+#: Series lengths around the 65 536-sample blocks ``_decision_ids`` reads.
+ID_LENGTHS = (1, 65_535, 65_536, 65_537, 3 * 65_536 + 17)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from(ID_LENGTHS),
+    rows=st.integers(1, 3001),
+    run=st.sampled_from([1, 50, 5000]),
+    n_oob=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decision_ids_match_whole_series_reference(
+    infra_session, n, rows, run, n_oob, seed
+):
+    """Blocked ids equal the whole-series pass: out-of-table rates spread
+    over blocks raise the same message, or get the same ``-1`` ids."""
+    table = infra_session.table(3000.0).truncated(rows - 1)
+    rng = np.random.default_rng(seed)
+    levels = rng.random(n // run + 1) * table.max_rate
+    pred = np.repeat(levels, run)[:n]
+    oob = rng.integers(0, n, n_oob)
+    pred[oob] = table.max_rate + 1.0 + rng.random(n_oob) * 1000.0
+    got = _decision_ids(table, pred, strict=False)
+    want = _decision_ids_reference(table, pred, strict=False)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    if n_oob:
+        with pytest.raises(CombinationError) as want_exc:
+            _decision_ids_reference(table, pred)
+        with pytest.raises(CombinationError) as got_exc:
+            _decision_ids(table, pred)
+        assert str(got_exc.value) == str(want_exc.value)
+    else:
+        for g, w in zip(_decision_ids(table, pred), want):
+            assert np.array_equal(g, w)
 
 
 @pytest.fixture(scope="module")

@@ -2,10 +2,13 @@
 
 The vectorised kernels in :mod:`repro.core.combination` and
 :mod:`repro.core.constraints` promise output bit-identical to these
-per-rate formulations (same float operation order, same tie-breaking).
+per-rate formulations (same float operation order, same tie-breaking),
+and :func:`lookahead_max_reference` is the monotonic deque the sliding
+maxima of :mod:`repro.workload.sliding` must equal.
 The program never calls them; ``tests/properties/test_prop_vectorized.py``,
-``tests/properties/test_prop_constraints.py`` and
-``benchmarks/test_perf_hotpaths.py`` compare against them.  The
+``tests/properties/test_prop_constraints.py``,
+``tests/properties/test_prop_sliding.py``, ``tests/workload/test_sliding.py``
+and ``benchmarks/test_perf_hotpaths.py`` compare against them.  The
 benchmark puts this directory on ``sys.path`` itself, so a run of
 ``pytest benchmarks/`` alone can import it.
 """
@@ -33,6 +36,31 @@ from repro.core.profiles import ArchitectureProfile
 
 if TYPE_CHECKING:
     from repro.sim.application import ApplicationSpec
+
+def lookahead_max_reference(values: Sequence[float], window: int) -> np.ndarray:
+    """``max(values[t : t + window])`` for every ``t``, by monotonic deque.
+
+    O(n), pure Python.  Sweeping right to left, a later index leaves the
+    deque when an earlier value is at least as large, so a tie keeps the
+    earliest sample of the window.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a 1-D series, got shape {arr.shape}")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    n = len(arr)
+    out = np.empty(n)
+    dq: deque = deque()  # indices, values decreasing
+    for t in range(n - 1, -1, -1):
+        while dq and arr[dq[-1]] <= arr[t]:
+            dq.pop()
+        dq.append(t)
+        while dq and dq[0] > t + window - 1:
+            dq.popleft()
+        out[t] = arr[dq[0]]
+    return out
+
 
 def _sliding_min_with_arg_reference(
     values: np.ndarray, window: int

@@ -64,6 +64,100 @@ class TestWeekly:
         assert out[0] == 0.5                  # starts on Saturday
 
 
+# -- the whole-array expressions the in-place generators replaced ----------
+
+
+def _diurnal_oracle(duration_s, low, high, peak_hour=15.0, sharpness=1.0):
+    t = np.arange(duration_s, dtype=float)
+    phase = 2 * math.pi * ((t / SECONDS_PER_DAY) - peak_hour / 24.0)
+    base = 0.5 * (1 + np.cos(phase))
+    if sharpness != 1.0:
+        base = base**sharpness
+    return low + (high - low) * base
+
+
+def _weekly_oracle(duration_s, weekday_level, weekend_level, start_weekday):
+    days = np.arange(duration_s) // SECONDS_PER_DAY + start_weekday
+    is_weekend = (days % 7) >= 5
+    return np.where(is_weekend, weekend_level, weekday_level).astype(float)
+
+
+def _compose_oracle(base, multipliers=(), addends=()):
+    out = np.asarray(base, dtype=float).copy()
+    for m in multipliers:
+        out *= m
+    for a in addends:
+        out += a
+    return np.maximum(out, 0.0)
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and np.array_equal(
+        got.view(np.int64), want.view(np.int64)
+    )
+
+
+#: Whole days, partial days and a partial week.
+DURATIONS = (1, 4_321, DAY - 1, DAY + 17, 3 * DAY, 9 * DAY + 5_000)
+
+
+class TestInPlaceSynthesis:
+    """The in-place generators reproduce the old expressions bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        duration=st.sampled_from(DURATIONS),
+        low=st.floats(0.0, 500.0),
+        span=st.floats(0.0, 3000.0),
+        peak_hour=st.floats(-24.0, 48.0),
+        sharpness=st.sampled_from([1.0, 0.5, 2.0, 3.0, 1.3, 0.25, -1.0]),
+    )
+    def test_diurnal(self, duration, low, span, peak_hour, sharpness):
+        if sharpness == -1.0:  # any other exponent, drawn
+            sharpness = 0.1 + (low % 7.0)
+        got = patterns.diurnal(duration, low, low + span, peak_hour, sharpness)
+        want = _diurnal_oracle(duration, low, low + span, peak_hour, sharpness)
+        assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("start_weekday", range(7))
+    @pytest.mark.parametrize("duration", DURATIONS)
+    def test_weekly(self, start_weekday, duration):
+        for levels in ((1.0, 0.9), (1, 0), (0.3, 2.5)):
+            got = patterns.weekly(duration, *levels, start_weekday=start_weekday)
+            want = _weekly_oracle(duration, *levels, start_weekday)
+            assert _same_bits(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        duration=st.sampled_from(DURATIONS),
+        seed=st.integers(0, 2**32 - 1),
+        n_mult=st.integers(0, 2),
+        n_add=st.integers(0, 2),
+    )
+    def test_compose(self, duration, seed, n_mult, n_add):
+        rng = np.random.default_rng(seed)
+        base = rng.normal(0.0, 1.0, duration)
+        base[rng.random(duration) < 0.1] = -0.0
+        mults = [rng.normal(1.0, 0.5, duration) for _ in range(n_mult)]
+        adds = [rng.normal(0.0, 1.0, duration) for _ in range(n_add)]
+        got = patterns.compose(base, mults, adds)
+        assert _same_bits(got, _compose_oracle(base, mults, adds))
+        assert got is not base
+
+    def test_year_recipe(self):
+        """The replay benchmarks' diurnal x weekly shape, one week of it."""
+        duration = 7 * DAY + 1
+        got = patterns.compose(
+            patterns.diurnal(duration, low=0.15, high=1.0, peak_hour=15.0),
+            [patterns.weekly(duration, 1.0, 0.9)],
+        )
+        want = _compose_oracle(
+            _diurnal_oracle(duration, 0.15, 1.0, 15.0),
+            [_weekly_oracle(duration, 1.0, 0.9, 0)],
+        )
+        assert _same_bits(got, want)
+
+
 class TestTrend:
     def test_linear_endpoints(self):
         out = patterns.linear_trend(100, 1.0, 3.0)

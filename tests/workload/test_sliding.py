@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.workload.sliding import (
-    lookahead_max,
-    lookahead_max_reference,
-    trailing_max,
-)
+from repro.workload.sliding import _complete_max, lookahead_max, trailing_max
+from table_references import lookahead_max_reference
 
 
 def naive_lookahead(arr, w):
@@ -58,6 +55,13 @@ class TestLookahead:
         with pytest.raises(ValueError):
             lookahead_max(rng.random((2, 5)), 3)
 
+    def test_numpy_integer_window(self, rng):
+        arr = rng.random(100)
+        assert np.array_equal(lookahead_max(arr, np.int64(7)), lookahead_max(arr, 7))
+        assert np.array_equal(trailing_max(arr, np.int32(7)), trailing_max(arr, 7))
+        with pytest.raises(TypeError):
+            lookahead_max(arr, 7.0)
+
     def test_never_below_input(self, rng):
         arr = rng.random(500)
         assert np.all(lookahead_max(arr, 17) >= arr)
@@ -75,3 +79,21 @@ class TestTrailing:
         assert np.array_equal(
             trailing_max(arr, w), lookahead_max(arr[::-1], w)[::-1]
         )
+
+
+class TestCompleteWindows:
+    """The streaming engine's kernel: the first ``k`` look-ahead maxima,
+    whose windows the buffer holds whole."""
+
+    @pytest.mark.parametrize("window", [1, 2, 7, 378])
+    @pytest.mark.parametrize("k_of_w", ["1", "w-1", "w", "w+1", "3w"])
+    @pytest.mark.parametrize("extra", [0, 5])
+    def test_matches_lookahead_head(self, rng, window, k_of_w, extra):
+        w = window
+        k = {"1": 1, "w-1": max(w - 1, 1), "w": w, "w+1": w + 1, "3w": 3 * w}[k_of_w]
+        values = np.round(rng.random(k + w - 1 + extra) * 50.0)
+        got = _complete_max(values, w, k)
+        assert got.shape == (k,)
+        assert np.array_equal(got, lookahead_max(values, w)[:k])
+        assert np.array_equal(got, naive_lookahead(values, w)[:k])
+
