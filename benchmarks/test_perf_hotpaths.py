@@ -236,8 +236,9 @@ def year_trace():
     """365 days of integer-valued diurnal load — the year-scale target.
 
     Integer rates (requests per second) recur massively across a year of
-    smooth diurnal cycles, so serving-set groups compress to their
-    unique values — the workload shape the two-phase engine's run-level
+    smooth diurnal cycles, so each serving-set group's kernel runs once
+    on its dense integer band and power is gathered through one rate
+    index — the workload shape the two-phase engine's run-level
     batching is built for (the ROADMAP's months-of-traffic north star).
     """
     from repro.workload import patterns
@@ -352,6 +353,35 @@ def test_perf_settle_week(benchmark, infra, diurnal_week_trace):
     meter = benchmark.pedantic(settle, setup=setup, rounds=5)
     full = EventDrivenReplay(table, trace, predictor=pred).run()
     assert meter.total_energy == full.meta["meter_energy_j"]
+
+
+@pytest.mark.benchmark(group="perf-evaluate")
+def test_perf_evaluate_week(benchmark, infra, diurnal_week_trace):
+    """The evaluate pass alone over seven diurnal days: each serving-set
+    group's kernel on its dense integer band, then the block-wise power
+    gather through the rate index.
+
+    Each round's untimed set-up runs the control pass of a fresh replay,
+    so a round times exactly what the two-phase engine's evaluate phase
+    pays.  The power series must equal a full replay's.
+    """
+    trace = diurnal_week_trace
+    pred = LookAheadMaxPredictor(378)
+    table = infra.table(float(np.max(trace.values)))
+
+    def setup():
+        replay = EventDrivenReplay(table, trace, predictor=pred)
+        plan = replay._control_pass()
+        assert plan.rates is not None  # the trace takes the rate index
+        return (replay, plan), {}
+
+    power = benchmark.pedantic(
+        lambda replay, plan: replay._evaluate_pass(plan, trace.values)[0],
+        setup=setup,
+        rounds=5,
+    )
+    full = EventDrivenReplay(table, trace, predictor=pred).run()
+    assert np.array_equal(power, full.power)
 
 
 @pytest.mark.benchmark(group="perf-control")

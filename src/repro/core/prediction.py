@@ -25,7 +25,9 @@ prediction vector, so the scheduler's hot path stays vectorised.
 from __future__ import annotations
 
 import abc
+import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -246,13 +248,17 @@ class NoisyPredictor(Predictor):
 # ---------------------------------------------------------------------------
 #
 # On a 183-day trace (2-vCPU Xeon) the sliding maximum takes 0.08-0.09 s,
-# and a new trace object's content digest 0.11-0.12 s, hit or miss.  Sweep
-# grids over scheduler/inventory axes would recompute the series per grid
-# point for the *same* workload.  The cache memoises the fully
-# post-processed series — filter output plus the bounded-cluster clamp —
-# keyed by
-# ``(trace content digest, trace timestep, predictor cache_token, clamp)``,
-# so any replay over an equal-content trace pays the filter once.
+# and a trace object's sha1 content digest 0.10-0.12 s.  Sweep grids over
+# scheduler/inventory axes would recompute the series per grid point for
+# the *same* workload.  The cache memoises the fully post-processed
+# series — filter output plus the bounded-cluster clamp — under
+# ``(predictor cache_token, clamp, trace length, trace timestep)``, and
+# within that by trace: first by object (each entry holds the trace it
+# came from weakly), then by content.  A digest is only taken when an
+# entry under the same key came from another trace object, so the first
+# replay of a fresh trace pays none, while an equal-content trace built
+# again still shares the entry as long as the first trace lives or its
+# digest was taken.
 #
 # Entries are stored read-only with a sampled CRC self-check (head + tail
 # of the buffer) so accidental in-process corruption is detected and the
@@ -264,6 +270,20 @@ class NoisyPredictor(Predictor):
 _SERIES_CACHE = None
 _SERIES_CACHE_MAXSIZE = 64
 _SERIES_REBUILDS = 0
+#: Entry serials: an entry's key is ``(key, serial)``.
+_SERIALS = itertools.count()
+
+
+class _SeriesEntry:
+    """One cached series, with the trace it came from held weakly."""
+
+    __slots__ = ("trace", "digest", "series", "checksum")
+
+    def __init__(self, trace, digest, series, checksum) -> None:
+        self.trace = weakref.ref(trace)
+        self.digest: Optional[str] = digest  #: taken on demand
+        self.series = series
+        self.checksum = checksum
 
 
 def _series_cache():
@@ -301,6 +321,38 @@ def _compute_series(
     return pred
 
 
+def _find_key(cache, key: tuple, trace: LoadTrace):
+    """The cache key of ``trace``'s entry under ``key``, and its digest.
+
+    By object first: an entry made from ``trace`` itself.  Otherwise by
+    content, and only if some entry under ``key`` came from another
+    trace object: then ``trace``'s digest is taken and compared with
+    each such entry's, which is taken from its trace the first time.  An
+    entry whose trace is gone and that has no digest can no longer
+    match, so it is dropped.  The digest is ``None`` when none was
+    taken.
+    """
+    others = []
+    for entry_key, entry in cache.items():
+        if entry_key[0] == key:
+            owner = entry.trace()
+            if owner is trace:
+                return entry_key, None
+            if owner is None and entry.digest is None:
+                cache.pop(entry_key)
+                continue
+            others.append((entry_key, entry, owner))
+    digest = None
+    if others:
+        digest = trace.content_digest()
+        for entry_key, entry, owner in others:
+            if entry.digest is None and owner is not None:
+                entry.digest = owner.content_digest()
+            if entry.digest == digest:
+                return entry_key, digest
+    return None, digest
+
+
 def cached_prediction_series(
     predictor: Predictor,
     trace: ArrayOrTrace,
@@ -312,9 +364,10 @@ def cached_prediction_series(
     ``clamp`` applied when given — the bounded-cluster cap of the replay
     loop).  When the predictor declares a :attr:`Predictor.cache_token`
     and ``trace`` is a :class:`LoadTrace`, results are served from a
-    process-wide LRU keyed by trace content; cached arrays are read-only
-    and bit-identical to a fresh computation.  Predictors without a
-    token (or raw ndarray inputs) fall through to direct computation.
+    process-wide LRU, found by trace object or else by trace content;
+    cached arrays are read-only and bit-identical to a fresh
+    computation.  Predictors without a token (or raw ndarray inputs)
+    fall through to direct computation.
     """
     token = predictor.cache_token
     if token is None or not isinstance(trace, LoadTrace):
@@ -325,19 +378,19 @@ def cached_prediction_series(
     global _SERIES_REBUILDS
     cache = _series_cache()
     key = (
-        trace.content_digest(),
-        float(trace.timestep),
         token,
         None if clamp is None else float(clamp),
+        len(trace),
+        float(trace.timestep),
     )
-    entry = cache.get(key)
+    entry_key, digest = _find_key(cache, key, trace)
+    entry = cache.get(entry_key)  # a miss when nothing matched
     if entry is not None:
-        series, checksum = entry
-        if _series_checksum(series) == checksum:
-            return series
+        if _series_checksum(entry.series) == entry.checksum:
+            return entry.series
         # Damaged entry (bit rot / injected poison): drop, rebuild, restore.
         _SERIES_REBUILDS += 1
-        cache.pop(key)
+        cache.pop(entry_key)
 
     series = _compute_series(predictor, trace, clamp)
     if series.base is not None or not series.flags.owndata:
@@ -351,7 +404,9 @@ def cached_prediction_series(
         stored = series.copy()
         stored[0] = stored[0] + 1.0 if stored[0] == 0.0 else -stored[0]
         stored.setflags(write=False)
-    cache.put(key, (stored, checksum))
+    cache.put(
+        (key, next(_SERIALS)), _SeriesEntry(trace, digest, stored, checksum)
+    )
     return series
 
 

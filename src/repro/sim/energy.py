@@ -129,6 +129,10 @@ class TelemetryLRU:
         """Drop one entry (damaged-entry eviction); counters untouched."""
         return self._data.pop(key, None)
 
+    def items(self) -> List[Tuple[Hashable, Any]]:
+        """Every ``(key, value)``, least recent first; counters untouched."""
+        return list(self._data.items())
+
     def clear(self) -> None:
         self._data.clear()
         self.hits = 0

@@ -35,43 +35,6 @@ __all__ = [
 ]
 
 
-#: Widest integer rate span the bincount-based unique fast path will
-#: allocate a lookup table for (8 MB of int64); wider spans fall back to
-#: the sort-based ``np.unique``.
-_BINCOUNT_SPAN_LIMIT = 1 << 20
-
-
-def _unique_inverse(rates: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``np.unique(rates, return_inverse=True)`` with an O(n) fast path.
-
-    Request-rate traces are integral counts (WC98 requests/second, rounded
-    synthetic series), so for year-scale windows the sort inside
-    ``np.unique`` dominates the whole evaluation phase.  When every rate
-    is a non-negative integer in a bounded span, the unique values and the
-    inverse map come straight out of ``np.bincount`` + a lookup table —
-    same sorted unique array, same inverse indices, bit-for-bit (integral
-    float64 values round-trip through int64 exactly; rates are validated
-    non-negative so there is no ``-0.0`` to lose a sign bit on).
-    """
-    iv = rates.astype(np.int64)
-    if rates.size and np.array_equal(iv, rates):
-        lo = int(iv.min())
-        hi = int(iv.max())
-        if (
-            0 <= lo
-            and hi - lo <= _BINCOUNT_SPAN_LIMIT
-            and (lo > 0 or not np.signbit(rates).any())
-        ):
-            shifted = iv if lo == 0 else iv - lo
-            counts = np.bincount(shifted, minlength=hi - lo + 1)
-            present = counts > 0
-            uniq = (np.flatnonzero(present) + lo).astype(float)
-            lut = np.zeros(hi - lo + 1, dtype=np.intp)
-            lut[present] = np.arange(len(uniq), dtype=np.intp)
-            return uniq, lut[shifted]
-    return np.unique(rates, return_inverse=True)
-
-
 @dataclass(frozen=True)
 class Assignment:
     """Outcome of one balancing round."""
@@ -130,30 +93,20 @@ class LoadBalancer:
 
 @dataclass(frozen=True)
 class KernelWindow:
-    """Rate windows evaluated on a serving-set kernel.
+    """Rates evaluated on a serving-set kernel, element for element.
 
-    Everything is stored on the window's **unique** rates plus the
-    gather index back to per-second order: ``X_unique[inverse]`` is the
-    per-second series for any of the unique-indexed arrays (``inverse``
-    of ``None`` means the window did not compress — the unique arrays
-    *are* per-second).  Per-machine per-second series are never
-    materialised: the replay scatters the unique-indexed arrays through
-    ``inverse``, and the energy ledger settles the same gather pairs.
+    Every array is aligned with the evaluated rates: ``loads[i][k]``,
+    ``draws[i][k]`` and ``unserved[k]`` belong to ``rates[k]``.  A column
+    the rate band cannot vary (a machine filled to capacity at every
+    rate, or one no rate reaches) is a zero-copy stride-0 broadcast.
+    The replay evaluates either a group's dense integer band, which it
+    lays out by rate, or its per-second windows end to end.
     """
 
     kernel: "ServingSetKernel"
-    inverse: Optional[np.ndarray]  #: per-second gather index, or None
-    loads: Tuple[np.ndarray, ...]  #: per machine, unique-indexed
-    draws: Tuple[np.ndarray, ...]  #: per machine, unique-indexed
-    unserved: np.ndarray  #: unique-indexed
-
-    def gather(self, values: np.ndarray) -> np.ndarray:
-        """Scatter a unique-indexed array back to per-second order.
-
-        Zero-copy when the window did not compress: the *backing buffer
-        itself* comes back, which callers only read.
-        """
-        return values if self.inverse is None else values[self.inverse]
+    loads: Tuple[np.ndarray, ...]  #: per machine
+    draws: Tuple[np.ndarray, ...]  #: per machine
+    unserved: np.ndarray
 
 
 class ServingSetKernel:
@@ -166,10 +119,9 @@ class ServingSetKernel:
     once and reused across every segment served by the same set —
     typically hundreds of segments per replay, since the replay cycles
     through a handful of combinations.  ``evaluate`` runs the **exact**
-    scalar float-operation chain, but only on the window's unique rates;
-    equal inputs get equal outputs by construction, so gathering the
-    results back to per-second order is bit-identical to the full-window
-    (and the per-second) evaluation.
+    scalar float-operation chain elementwise, so equal rates get equal
+    outputs by construction: evaluating each integer rate of a band once
+    and gathering by rate is bit-identical to the per-second evaluation.
     """
 
     __slots__ = (
@@ -199,42 +151,24 @@ class ServingSetKernel:
         self._idles = [p.idle_power for p in profiles]
 
     def evaluate(
-        self,
-        rates: np.ndarray,
-        pre_validated: bool = False,
-        compress: Optional[bool] = None,
+        self, rates: np.ndarray, pre_validated: bool = False
     ) -> KernelWindow:
-        """Evaluate a whole steady window through the composite chain.
+        """Evaluate rates through the composite chain, element for element.
 
         ``pre_validated=True`` skips the non-negativity check — for
         callers that validated the full series once up front (the replay
         checks the whole trace before segmenting it into windows).
-
-        ``compress`` controls the unique-rate gather compression:
-        evaluating only the window's unique rates pays off on traces that
-        repeat rates (integer request-count traces like WC98) and is pure
-        overhead on continuous synthetic traces.  ``None`` probes the
-        window head per call; the replay decides once per run on the
-        whole trace and passes the verdict in.  Both paths run the
-        identical elementwise chain, so the choice never changes a
-        single bit of the output.
         """
         rates = np.asarray(rates, dtype=float)
         if not pre_validated and np.any(rates < 0):
             raise ValueError("rate must be >= 0")
-        inverse: Optional[np.ndarray] = None
-        uniq = rates
-        if compress is None:
-            compress = len(rates) > 64 and len(np.unique(rates[:64])) <= 48
-        if compress and len(rates) > 1:
-            uniq, inverse = _unique_inverse(rates)
-        served = np.minimum(uniq, self.capacity)
+        served = np.minimum(rates, self.capacity)
         n = len(self.machine_ids)
         loads: List[Optional[np.ndarray]] = [None] * n
         draws: List[Optional[np.ndarray]] = [None] * n
         if n:
             if self.strategy == "efficient":
-                loads, draws = self._evaluate_efficient(uniq, served, inverse)
+                loads, draws = self._evaluate_efficient(rates, served)
             elif self.capacity > 0:  # proportional
                 frac = served / self.capacity
                 loads = [frac * mp for mp in self._max_perfs]
@@ -243,21 +177,17 @@ class ServingSetKernel:
                     for i in range(n)
                 ]
             else:  # degenerate set: nothing can be served
-                loads = [np.zeros(len(uniq)) for _ in range(n)]
-                draws = [np.full(len(uniq), self._idles[i]) for i in range(n)]
+                loads = [np.zeros(len(rates)) for _ in range(n)]
+                draws = [np.full(len(rates), self._idles[i]) for i in range(n)]
         return KernelWindow(
             kernel=self,
-            inverse=inverse,
             loads=tuple(loads),
             draws=tuple(draws),
-            unserved=np.maximum(uniq - served, 0.0),
+            unserved=np.maximum(rates - served, 0.0),
         )
 
     def _evaluate_efficient(
-        self,
-        uniq: np.ndarray,
-        served: np.ndarray,
-        inverse: Optional[np.ndarray],
+        self, rates: np.ndarray, served: np.ndarray
     ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
         """The ``"efficient"`` fill chain with constant-column elision.
 
@@ -287,15 +217,14 @@ class ServingSetKernel:
         bit-identical to the full masked chain (pinned by the kernel and
         replay property suites).
         """
-        nu = len(uniq)
+        nu = len(rates)
         mps, slopes, idles = self._max_perfs, self._slopes, self._idles
         n = len(self.machine_ids)
         loads: List[Optional[np.ndarray]] = [None] * n
         draws: List[Optional[np.ndarray]] = [None] * n
         if nu:
-            # np.unique sorts, so a compressed window's extremes are its ends.
-            lo = float(uniq[0]) if inverse is not None else float(uniq.min())
-            hi = float(uniq[-1]) if inverse is not None else float(uniq.max())
+            lo = float(rates.min())
+            hi = float(rates.max())
         else:
             lo = hi = 0.0
         cap = self.capacity

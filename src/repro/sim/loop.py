@@ -31,12 +31,15 @@ Two engines replay that rule:
   segment — no kernel math, no energy settling (ledger transitions are
   journaled by the meter's batch mode).  The **evaluate pass** then
   groups *all* windows sharing a frozen serving set across the whole
-  run, concatenates their rate windows and runs each group through
-  **one** memoised serving-set kernel
-  (:func:`~repro.sim.loadbalancer.serving_set_kernel`): the exact
-  per-machine balance/draw chain over the group's *unique* rates,
-  scattered back through a gather index.  The journal is settled
-  afterwards by
+  run and runs each group through **one** memoised serving-set kernel
+  (:func:`~repro.sim.loadbalancer.serving_set_kernel`), the exact
+  per-machine balance/draw chain.  When every rate is a plain integer
+  (request counts), the control pass hands over one **rate index**, the
+  trace's rates as an ``intp`` array: each group's kernel runs once on
+  the dense integer band between its lowest and highest rate, its
+  columns are laid out by rate, and power is gathered block by block
+  through the index.  Other traces evaluate each group's concatenated
+  per-second windows.  The journal is settled afterwards by
   :meth:`~repro.sim.energy.EnergyMeter.record_batch_windows`, which
   extends each machine's open run across adjacent windows, so its
   contribution stream is one piece per run or transition; the fold adds
@@ -56,13 +59,14 @@ per pass and replays repeats from its record (``_control_pass``).
 
 from __future__ import annotations
 
+import itertools
 import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..core.combination import Combination, CombinationTable
+from ..core.combination import _BLOCK, Combination, CombinationTable
 from ..core.prediction import (
     LookAheadMaxPredictor,
     Predictor,
@@ -112,12 +116,14 @@ class _ControlPlan:
     plan ``plans[plan_idx]`` (``(draw key | None, constant)`` pairs in
     cluster order, deduplicated by content).  The meter holds the
     matching journal; descriptor ``j``'s marker is the integer ``j``.
+    ``rates`` is the trace's rate index (:func:`_rate_index`), or
+    ``None`` unless every rate is a plain integer below the horizon.
     """
 
     descs: List[Tuple[int, int, int, int]]
     kernels: List[object]
     plans: List[Tuple[Tuple[Optional[str], float], ...]]
-    compress: bool
+    rates: Optional[np.ndarray]
     horizon: int
     #: reconfiguration episodes replayed from a template / recorded
     templated: int
@@ -140,6 +146,193 @@ class _Episode(NamedTuple):
     peak: int  #: peak ON census
     serving: list
     ready: list
+
+
+def _rate_index(values: np.ndarray, out: np.ndarray) -> Optional[np.ndarray]:
+    """``out`` holding the rates as integers, or ``None`` if they do not fit.
+
+    One pass over ``_BLOCK``-sample blocks fills ``out``, a trace-length
+    integer buffer the caller has no more use for, and stops at the
+    first block holding a rate that is not an integer, a ``-0.0`` (the
+    index would make it ``0``) or a rate not below the trace length.
+    That bound keeps every column the evaluate pass lays out by rate no
+    longer than the trace.
+    """
+    n = len(values)
+    for b0 in range(0, n, _BLOCK):
+        block = values[b0:b0 + _BLOCK]
+        if block.max() >= n:
+            return None
+        ib = out[b0:b0 + _BLOCK]
+        ib[...] = block
+        if not np.array_equal(ib, block) or np.signbit(block).any():
+            return None
+    return out
+
+
+def _constants(draws) -> tuple:
+    """The kernel's stride-0 (constant) columns as their Python floats.
+
+    Done once per group: the plan folds and the meter's journal walk
+    then need no NumPy scalar work for them.
+    """
+    return tuple(
+        d.item(0) if d.strides == (0,) and len(d) else d for d in draws
+    )
+
+
+def _plan_series(plan, draw_of):
+    """A power-accumulation plan's series over a group's evaluated rates.
+
+    Same machine iteration (= float accumulation) order as
+    ``Cluster.total_power``.  Constant terms — plan constants and the
+    kernel's elided constant columns — fold into a running scalar until
+    the first varying column: the scalar chain performs the identical
+    float adds each element would, so the fold never changes a bit.  A
+    plan with no varying column comes back as its Python float.
+    """
+    acc: Optional[np.ndarray] = None
+    acc_scalar = 0.0
+    for draw_key, const in plan:
+        term = const if draw_key is None else draw_of[draw_key]
+        if acc is not None:
+            acc += term
+        elif isinstance(term, float):
+            acc_scalar += term
+        else:
+            acc = acc_scalar + term
+    return acc_scalar if acc is None else acc
+
+
+def _by_rate(band: np.ndarray, lo: int) -> np.ndarray:
+    """``band`` (rates ``lo, lo + 1, …``) laid out so index ``r`` holds
+    rate ``r``; the slots below ``lo`` are never written nor read."""
+    out = np.empty(lo + len(band))
+    out[lo:] = band
+    return out
+
+
+def _evaluate_by_rate(plan: _ControlPlan):
+    """The evaluate pass over the rate index, or ``None`` if too wide.
+
+    A group's varying draw columns and its unserved series are laid out
+    by integer rate (:func:`_by_rate`), so every meter bundle gathers
+    through the rate index itself at offset ``t``.  ``unserved`` is
+    written only where a group has unserved demand, so the zero pages of
+    the others stay untouched.
+    """
+    rates = plan.rates
+    horizon = plan.horizon
+    descs = plan.descs
+    cols = np.fromiter(
+        itertools.chain.from_iterable(descs), np.intp, 4 * len(descs)
+    ).reshape(-1, 4)
+    starts, kidx = cols[:, 0], cols[:, 2]
+    n_plans = len(plan.plans)
+    # The (kernel, plan) pairs in use, sorted by kernel, and each
+    # group's first pair.
+    pairs, pair_of = np.unique(
+        kidx * n_plans + cols[:, 3], return_inverse=True
+    )
+    pair_k = pairs // n_plans
+    firsts = np.flatnonzero(np.diff(pair_k, prepend=-1))
+    lo = np.full(len(plan.kernels), horizon, np.intp)
+    hi = np.zeros(len(plan.kernels), np.intp)
+    np.minimum.at(lo, kidx, np.minimum.reduceat(rates, starts))
+    np.maximum.at(hi, kidx, np.maximum.reduceat(rates, starts))
+    ks = pair_k[firsts]
+    if (hi[ks] - lo[ks] + 1).sum() > horizon:
+        # The dense bands would hold more rates than the trace has
+        # seconds: the per-second windows are the smaller evaluation.
+        return None
+    widths = hi[pair_k] - lo[pair_k] + 1
+    ends = np.cumsum(widths)
+    stack = np.empty(ends[-1])
+    power = np.empty(horizon)
+    unserved = np.zeros(horizon)
+    bundles = {}
+    for group in np.split(np.arange(len(pairs)), firsts[1:]):
+        k = int(pair_k[group[0]])
+        k_lo, k_hi = int(lo[k]), int(hi[k])
+        kernel = plan.kernels[k]
+        window = kernel.evaluate(
+            np.arange(k_lo, k_hi + 1, dtype=float), pre_validated=True
+        )
+        draws = _constants(window.draws)
+        draw_of = dict(zip(kernel.machine_ids, draws))
+        for q in group.tolist():
+            stack[ends[q] - widths[q]:ends[q]] = _plan_series(
+                plan.plans[pairs[q] % n_plans], draw_of
+            )
+        by_rate = tuple(
+            d if isinstance(d, float) else _by_rate(d, k_lo) for d in draws
+        )
+        bundles[k] = (kernel.machine_ids, by_rate, rates)
+        if window.unserved.any():
+            col = _by_rate(window.unserved, k_lo)
+            for j in np.flatnonzero(kidx == k).tolist():
+                t, b = descs[j][0], descs[j][1]
+                col.take(rates[t:b], out=unserved[t:b])
+    # Block by block: each second's position in its pair's series is
+    # its rate plus the pair's base, repeated over the descriptor.
+    base = (ends - widths - lo[pair_k])[pair_of]
+    b0s = np.arange(0, horizon, _BLOCK)
+    k0s = np.searchsorted(starts, b0s, "right") - 1
+    k1s = np.searchsorted(starts, b0s + _BLOCK)
+    for b0, k0, k1 in zip(b0s.tolist(), k0s.tolist(), k1s.tolist()):
+        b1 = min(b0 + _BLOCK, horizon)
+        edges = np.concatenate(([b0], starts[k0 + 1:k1], [b1]))
+        idx = np.repeat(base[k0:k1], np.diff(edges))
+        idx += rates[b0:b1]
+        stack.take(idx, out=power[b0:b1], mode="clip")  # idx is in range
+    seg_eval = [bundles[k] + (t, b - t, t) for t, b, k, _ in descs]
+    return power, unserved, seg_eval, len(bundles)
+
+
+def _evaluate_per_second(plan: _ControlPlan, values: np.ndarray):
+    """The evaluate pass over each group's concatenated rate windows.
+
+    Results scatter back as one contiguous slice write per descriptor
+    (``power[t:b]``) from the per-plan series; the meter bundles slice
+    the group's columns at the descriptor's offset in the concatenation.
+    """
+    horizon = plan.horizon
+    descs = plan.descs
+    power = np.empty(horizon)
+    unserved = np.zeros(horizon)
+    groups: Dict[int, List[int]] = {}
+    for j, desc in enumerate(descs):
+        groups.setdefault(desc[2], []).append(j)
+    seg_eval: List[Optional[tuple]] = [None] * len(descs)
+    for k_idx, desc_ids in groups.items():
+        kernel = plan.kernels[k_idx]
+        if len(desc_ids) == 1:
+            cat = values[descs[desc_ids[0]][0]:descs[desc_ids[0]][1]]
+        else:
+            cat = np.concatenate(
+                [values[descs[j][0]:descs[j][1]] for j in desc_ids]
+            )
+        window = kernel.evaluate(cat, pre_validated=True)
+        # else: max(rate - served, 0.0) is +0.0 everywhere — exactly
+        # the zeros the series was initialised with.
+        unserved_w = window.unserved if window.unserved.any() else None
+        draws = _constants(window.draws)
+        machine_ids = kernel.machine_ids
+        draw_of = dict(zip(machine_ids, draws))
+        series: Dict[int, object] = {}
+        off = 0
+        for j in desc_ids:
+            t, b, _, p_idx = descs[j]
+            n = b - t
+            acc = series.get(p_idx)
+            if acc is None:
+                acc = series[p_idx] = _plan_series(plan.plans[p_idx], draw_of)
+            power[t:b] = acc if isinstance(acc, float) else acc[off:off + n]
+            if unserved_w is not None:
+                unserved[t:b] = unserved_w[off:off + n]
+            seg_eval[j] = (machine_ids, draws, None, off, n, t)
+            off += n
+    return power, unserved, seg_eval, len(groups)
 
 
 class EventDrivenReplay:
@@ -607,8 +800,6 @@ class EventDrivenReplay:
         values = trace.values
         if np.any(values < 0):
             raise ValueError("rate must be >= 0")
-        head = values[: min(len(values), 4096)]
-        compress = len(np.unique(head)) <= 0.75 * len(head)
         initial = self.table.combination_for(float(pred[0]))
         self.meter.begin_batch()
         self._materialise_initial(initial, 0.0)
@@ -616,6 +807,9 @@ class EventDrivenReplay:
         cid, changes, grid_idx = _decision_ids(self.table, pred, strict=False)
         walk = DecisionWalk(self.table, initial, int(cid[0]), int(grid_idx[0]))
         sched = walk.advance(0, cid, grid_idx, pred, changes)
+        # The walk was their only reader: the ids go, and the grid
+        # indices' resident pages are reused for the rate index.
+        del cid, changes
 
         descs: List[Tuple[int, int, int, int]] = []
         kernels: List[object] = []
@@ -874,114 +1068,41 @@ class EventDrivenReplay:
         # loads; leave the final window's assignment in place first.
         self._refresh_loads(prev_ready, float(values[horizon - 1]), prev_kernel)
         self.queue.run_until(horizon)
+        rates = _rate_index(values, grid_idx)
         self._phase_s["control"] = _time.perf_counter() - t_wall1
         return _ControlPlan(
             descs=descs, kernels=kernels, plans=plans,
-            compress=compress, horizon=horizon,
+            rates=rates, horizon=horizon,
             templated=n_templated, templates=n_templates,
         )
 
     def _evaluate_pass(self, plan: _ControlPlan, values: np.ndarray):
-        """Phase 2: one kernel invocation per serving set, per-window scatter.
+        """Phase 2: one kernel invocation per serving set.
 
-        All descriptors sharing a kernel are evaluated on the
-        concatenation of their rate windows; the kernel chain is
-        elementwise over rate values, so each concatenated column equals
-        the per-window evaluation bit for bit.  Results scatter back as
-        one contiguous slice write per descriptor (``power[t:b]``) from
-        the per-plan accumulated series; per-(group, plan) power
-        accumulation follows ``Cluster.total_power``'s machine order.
-        Returns the series plus each descriptor's gather bundle
-        ``(machine_ids, draws, inverse, offset, length, t_start)``, what
-        the meter journal's resolver returns for its marker, where
-        ``draws`` holds each constant column as its Python float.
+        Descriptors sharing a kernel form a group.  With a rate index
+        (``plan.rates``), each group's kernel runs on the dense integer
+        band between the group's lowest and highest rate, found by
+        ``reduceat`` over the descriptor starts, so its constant-column
+        elision sees the extremes the per-second windows have.  Each
+        (kernel, plan) pair's power series is laid end to end in one
+        array, and ``power`` is gathered from it block by block through
+        the index (:func:`_evaluate_by_rate`).  Without an index, or when
+        the groups' bands together hold more rates than the trace has
+        seconds, each group runs on its concatenated per-second windows
+        (:func:`_evaluate_per_second`).  The kernel chain is elementwise,
+        so both are bit-identical to the per-second evaluation.
+
+        Returns the power and unserved series, each descriptor's gather
+        bundle ``(machine_ids, draws, inverse, offset, length, t_start)``
+        (what the meter journal's resolver returns for its marker, with
+        each constant draw column as its Python float) and the number of
+        groups.
         """
-        horizon = plan.horizon
-        descs = plan.descs
-        power = np.empty(horizon)
-        unserved = np.zeros(horizon)
-        groups: Dict[int, List[int]] = {}
-        for j, desc in enumerate(descs):
-            groups.setdefault(desc[2], []).append(j)
-        seg_eval: List[Optional[tuple]] = [None] * len(descs)
-        for k_idx, desc_ids in groups.items():
-            kernel = plan.kernels[k_idx]
-            n_segs = len(desc_ids)
-            if n_segs == 1:
-                cat = values[descs[desc_ids[0]][0]:descs[desc_ids[0]][1]]
-            else:
-                cat = np.concatenate(
-                    [values[descs[j][0]:descs[j][1]] for j in desc_ids]
-                )
-            window = kernel.evaluate(
-                cat, pre_validated=True, compress=plan.compress
-            )
-            inverse = window.inverse
-            has_unserved = bool(window.unserved.any())
-            # else: max(rate - served, 0.0) is +0.0 everywhere — exactly
-            # the zeros the series was initialised with.
-            unserved_u = window.unserved if has_unserved else None
-            # Constant columns (the kernel's stride-0 broadcasts) become
-            # their Python float here, once per window: the plan folds
-            # and the meter's journal walk then need no NumPy scalar work.
-            draws = tuple(
-                d.item(0) if d.strides == (0,) and len(d) else d
-                for d in window.draws
-            )
-            machine_ids = kernel.machine_ids
-            draw_of = dict(zip(machine_ids, draws))
-            # Per-plan accumulated series over the group's unique rates:
-            # same machine iteration (= float accumulation) order as
-            # Cluster.total_power.  Constant terms — plan constants and
-            # the kernel's elided constant columns — fold into a running
-            # scalar until the first varying column: the scalar chain
-            # performs the identical float adds each element would, so
-            # the fold never changes a bit.
-            plan_acc: Dict[int, object] = {}
-
-            def _acc_for(p_idx: int):
-                got = plan_acc.get(p_idx)
-                if got is None:
-                    acc: Optional[np.ndarray] = None
-                    acc_scalar = 0.0
-                    for draw_key, const in plan.plans[p_idx]:
-                        term = const if draw_key is None else draw_of[draw_key]
-                        if acc is not None:
-                            acc += term
-                        elif isinstance(term, float):
-                            acc_scalar += term
-                        else:
-                            acc = acc_scalar + term
-                    got = plan_acc[p_idx] = (
-                        acc_scalar if acc is None else acc
-                    )
-                return got
-
-            # Contiguous per-descriptor writes: power[t:b] is the plan
-            # series gathered over the window's slice of the group's
-            # inverse map — bit-identical to the run-level fancy scatter
-            # (same elements, same positions) without materialising a
-            # trace-length index array.
-            off = 0
-            for pos, j in enumerate(desc_ids):
-                desc = descs[j]
-                t, b = desc[0], desc[1]
-                n = b - t
-                acc = _acc_for(desc[3])
-                if isinstance(acc, float):
-                    power[t:b] = acc
-                elif inverse is None:
-                    power[t:b] = acc[off:off + n]
-                else:
-                    power[t:b] = acc[inverse[off:off + n]]
-                if has_unserved:
-                    if inverse is None:
-                        unserved[t:b] = unserved_u[off:off + n]
-                    else:
-                        unserved[t:b] = unserved_u[inverse[off:off + n]]
-                seg_eval[j] = (machine_ids, draws, inverse, off, n, t)
-                off += n
-        return power, unserved, seg_eval, len(groups)
+        if plan.rates is not None:
+            out = _evaluate_by_rate(plan)
+            if out is not None:
+                return out
+        return _evaluate_per_second(plan, values)
 
     def _run_twophase(self) -> SimulationResult:
         """Two-phase replay: pure control walk, then grouped evaluation."""

@@ -9,8 +9,12 @@ PR 9's caching contract (:func:`repro.core.prediction.cached_prediction_series`)
   bounded and unbounded replays over the same workload never collide;
 * a damaged entry (bit rot, or the ``predict-cache`` fault injection
   poisoning the store) is detected by the sampled checksum and rebuilt
-  instead of trusted.
+  instead of trusted;
+* entries are found by trace object first, and the content digest is
+  only taken to compare against an entry from another trace object.
 """
+
+import gc
 
 import numpy as np
 import pytest
@@ -133,3 +137,61 @@ class TestPoisonedEntryRebuild:
         third = cached_prediction_series(predictor, trace)
         assert third is second
         assert prediction_cache_stats()["rebuilds"] == after["rebuilds"]
+
+
+class TestDigestOnDemand:
+    @staticmethod
+    def _count_digests(monkeypatch):
+        calls = []
+        digest = LoadTrace.content_digest
+
+        def counted(self):
+            calls.append(self.name)
+            return digest(self)
+
+        monkeypatch.setattr(LoadTrace, "content_digest", counted)
+        return calls
+
+    def test_digest_only_against_another_trace_object(self, monkeypatch):
+        calls = self._count_digests(monkeypatch)
+        trace_a = _trace(7, name="run-a")
+        predictor = LookAheadMaxPredictor(100)
+        first = cached_prediction_series(predictor, trace_a)
+        assert cached_prediction_series(predictor, trace_a) is first
+        assert calls == []  # found by object: no sha1 over the samples
+        trace_b = LoadTrace(trace_a.values.copy(), name="run-b")
+        assert cached_prediction_series(predictor, trace_b) is first
+        assert sorted(calls) == ["run-a", "run-b"]
+        # run-b still matches by content; run-a's digest is kept.
+        assert cached_prediction_series(predictor, trace_b) is first
+        assert sorted(calls) == ["run-a", "run-b", "run-b"]
+
+    def test_gone_trace_matches_only_by_a_known_digest(self):
+        predictor = LookAheadMaxPredictor(100)
+        trace_a = _trace(8, name="run-a")
+        values = trace_a.values.copy()
+        first = cached_prediction_series(predictor, trace_a)
+        del trace_a
+        gc.collect()
+        # No digest was taken while run-a lived: its entry cannot match,
+        # and the lookup drops it.
+        size = prediction_cache_stats()["table_cache_size"]
+        trace_b = LoadTrace(values, name="run-b")
+        second = cached_prediction_series(predictor, trace_b)
+        assert second is not first
+        assert np.array_equal(second, first)
+        assert prediction_cache_stats()["table_cache_size"] == size
+        # run-c's lookup takes run-b's digest as well, so run-b's entry
+        # still matches by content once run-b is gone.
+        assert cached_prediction_series(
+            predictor, LoadTrace(values, name="run-c")
+        ) is second
+        del trace_b
+        gc.collect()
+        before = prediction_cache_stats()
+        assert cached_prediction_series(
+            predictor, LoadTrace(values, name="run-d")
+        ) is second
+        after = prediction_cache_stats()
+        assert after["table_cache_hits"] == before["table_cache_hits"] + 1
+        assert after["table_cache_misses"] == before["table_cache_misses"]

@@ -267,7 +267,8 @@ class TestTwoPhaseScenarios:
         bare = control_only._control_pass()
         assert bare.descs == evaluated.descs
         assert bare.plans == evaluated.plans
-        assert bare.compress == evaluated.compress
+        # the rate-index decision (the short WC98-shaped trace has none)
+        assert bare.rates is None and evaluated.rates is None
         assert bare.horizon == evaluated.horizon
         assert [k.machine_ids for k in bare.kernels] == [
             k.machine_ids for k in evaluated.kernels
@@ -386,6 +387,135 @@ class TestTemplatedEpisodes:
         )
         assert (two.meta["templated_episodes"] > 0) is templated
         assert (two.meta["episode_templates"] > 0) is templated
+
+
+@st.composite
+def integral_trace(draw):
+    """Stepped integer load, longer than its largest rate: the shape
+    that takes the rate index (request counts at 1 Hz)."""
+    n_levels = draw(st.integers(2, 4))
+    levels = draw(
+        st.lists(st.integers(0, 1500), min_size=n_levels, max_size=n_levels)
+    )
+    durations = draw(
+        st.lists(st.integers(400, 700), min_size=n_levels, max_size=n_levels)
+    )
+    reps = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    period = np.concatenate(
+        [np.full(d, float(lv)) for lv, d in zip(levels, durations)]
+    )
+    values = np.tile(period, reps)
+    return LoadTrace(values + rng.integers(0, 20, size=len(values)))
+
+
+_SPIKE_INVENTORY = {"paravance": 1, "chromebook": 8, "raspberry": 8}
+
+
+def _rate_case(infra, name):
+    """``(build, rate index expected, evaluated by rate)`` for one case."""
+    rng = np.random.default_rng(11)
+    square = np.tile(
+        np.concatenate([np.full(600, 0.0), np.full(600, 1400.0)]), 3
+    )
+    inventory = None
+    top = 3000.0
+    if name == "integral":
+        values = square + rng.integers(0, 20, size=len(square))
+    elif name == "negative-zero":
+        values = square.copy()
+        values[:600:7] = -0.0
+    elif name == "constant":
+        values = np.full(3000, 700.0)
+    elif name == "unserved":
+        # past the bounded inventory's capacity: unserved demand written
+        # through the rate index
+        values = square * 2 + rng.integers(0, 20, size=len(square))
+        inventory = {"paravance": 0, "chromebook": 12, "raspberry": 20}
+    elif name == "spike":
+        # rates {0, 2**21}: far past the trace length, and past the
+        # bounded inventory, so the spike is unserved demand
+        values = np.zeros(1800)
+        values[900:1200] = 2.0**21
+        inventory = _SPIKE_INVENTORY
+    elif name == "wide-bands":
+        # integral and below the trace length, but the serving sets'
+        # bands together are longer than the trace
+        values = np.zeros(6000)
+        values[1:3000:2] = 1000.0
+        values[3001::2] = 5999.0
+        top = 6000.0
+    else:  # "fractional": repeating, but not integral
+        values = np.tile(np.repeat([200.5, 1400.25, 733.125], 600), 3)
+    trace = LoadTrace(values)
+    predictor = LookAheadMaxPredictor(200)
+    if inventory is None:
+        table = infra.table(top)
+    else:
+        table = BMLScheduler(
+            infra, predictor=predictor, inventory=inventory
+        ).plan_detailed(trace).table
+
+    def build():
+        return EventDrivenReplay(
+            table, trace, predictor=predictor, inventory=inventory
+        )
+
+    by_rate = name in ("integral", "constant", "unserved")
+    return build, by_rate or name == "wide-bands", by_rate
+
+
+_RATE_CASES = (
+    "integral", "negative-zero", "constant", "unserved", "spike",
+    "wide-bands", "fractional",
+)
+
+
+class TestRateIndex:
+    """The evaluate pass by integer rate against the FSM, and the inputs
+    that must keep the per-second path."""
+
+    @pytest.mark.parametrize("name", _RATE_CASES)
+    def test_bit_identical_to_reference(self, infra, name):
+        build = _rate_case(infra, name)[0]
+        replays = [build() for _ in ALL_ENGINES]
+        results = [r.run(engine=e) for r, e in zip(replays, ALL_ENGINES)]
+        _assert_identical(results[0], results[1], replays[0], replays[1])
+        if name in ("unserved", "spike"):
+            assert results[0].unserved.any()
+
+    @pytest.mark.parametrize("name", _RATE_CASES)
+    def test_path_taken(self, infra, name):
+        build, indexed, by_rate = _rate_case(infra, name)
+        replay = build()
+        plan = replay._control_pass()
+        values = replay.trace.values
+        assert (plan.rates is not None) is indexed
+        if indexed:
+            assert plan.rates.dtype == np.intp
+            assert np.array_equal(plan.rates, values)
+        seg_eval = replay._evaluate_pass(plan, values)[2]
+        inverse = plan.rates if by_rate else None
+        assert all(bundle[2] is inverse for bundle in seg_eval)
+        if by_rate:  # offsets are the seconds themselves
+            assert all(bundle[3] == bundle[5] for bundle in seg_eval)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        integral_trace(),
+        st.sampled_from([(0.0, 0.0), (0.5, 0.5), (3.0, 2.5)]),
+        st.sampled_from(["efficient", "proportional"]),
+        st.sampled_from(["plain", "capped", "bounded"]),
+    )
+    def test_integral_bit_identical(
+        self, infra, trace, times, strategy, table_kind
+    ):
+        stop, start = times
+        spec = ApplicationSpec(stop_time=stop, start_time=start)
+        build = _replay_builder(infra, trace, table_kind, spec, strategy, 200)
+        replays = [build() for _ in ALL_ENGINES]
+        results = [r.run(engine=e) for r, e in zip(replays, ALL_ENGINES)]
+        _assert_identical(results[0], results[1], replays[0], replays[1])
 
 
 def _batch_windows(meter, windows):
@@ -620,69 +750,13 @@ class TestReconfigSchedule:
         )
 
 
-class TestUniqueInverse:
-    """The bincount fast path of the kernel's rate compression."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_matches_np_unique(self, data):
-        from repro.sim.loadbalancer import _unique_inverse
-
-        kind = data.draw(
-            st.sampled_from(["integral", "fractional", "negzero"])
-        )
-        n = data.draw(st.integers(1, 200))
-        if kind == "integral":
-            values = np.array(
-                data.draw(
-                    st.lists(
-                        st.integers(0, 3000), min_size=n, max_size=n
-                    )
-                ),
-                dtype=float,
-            )
-        elif kind == "fractional":
-            values = np.array(
-                data.draw(
-                    st.lists(
-                        st.floats(0.0, 3000.0, allow_nan=False),
-                        min_size=n,
-                        max_size=n,
-                    )
-                )
-            )
-        else:
-            # -0.0 in an all-integral series must not flip sign bits in
-            # the unique values (the fallback keeps -0.0 distinct bits).
-            values = np.array(
-                data.draw(
-                    st.lists(
-                        st.sampled_from([-0.0, 0.0, 1.0, 2.0]),
-                        min_size=n,
-                        max_size=n,
-                    )
-                )
-            )
-        uniq_ref, inv_ref = np.unique(values, return_inverse=True)
-        uniq, inv = _unique_inverse(values)
-        assert np.array_equal(uniq, uniq_ref)
-        assert np.array_equal(
-            np.signbit(uniq), np.signbit(uniq_ref)
-        )
-        # Inverse maps may differ only if they reconstruct differently.
-        assert np.array_equal(uniq[inv], uniq_ref[inv_ref])
-        assert np.array_equal(
-            np.signbit(uniq[inv]), np.signbit(uniq_ref[inv_ref])
-        )
-
-
 class TestWindowedBalancer:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_balance_series_matches_per_second(self, toy_profiles, data):
         """The serving-set kernel's balance series is per-second
         ``LoadBalancer.balance`` plus ``idle + slope * load`` draws, bit
-        for bit, with the unique-rate compression on and off."""
+        for bit."""
         from repro.sim.loadbalancer import serving_set_kernel
         from repro.sim.machine import Machine, MachineState
 
@@ -694,7 +768,6 @@ class TestWindowedBalancer:
             m.state = MachineState.ON
             machines.append(m)
         strategy = data.draw(st.sampled_from(["efficient", "proportional"]))
-        compress = data.draw(st.booleans())
         n = data.draw(st.integers(1, 60))
         rates = np.array(
             data.draw(
@@ -706,12 +779,8 @@ class TestWindowedBalancer:
             )
         )
         lb = LoadBalancer(strategy)
-        window = serving_set_kernel(strategy, machines).evaluate(
-            rates, compress=compress
-        )
-        unserved = window.gather(window.unserved)
-        loads = [window.gather(col) for col in window.loads]
-        draws = [window.gather(col) for col in window.draws]
+        window = serving_set_kernel(strategy, machines).evaluate(rates)
+        unserved, loads, draws = window.unserved, window.loads, window.draws
         for k, rate in enumerate(rates):
             scalar = lb.balance(float(rate), machines)
             assert scalar.unserved == unserved[k]

@@ -1,7 +1,7 @@
 """Serving-set kernel cache and deferred array ledger (PR 5).
 
 The composite kernel collapses a steady segment's balance/draw chain to
-a handful of vector ops over the window's unique rates; the deferred
+a handful of vector ops over the window's rates; the deferred
 ledger buffers per-machine contributions and settles them in one cumsum
 pass.  Both must reproduce the per-second scalar chain bit-for-bit, and
 the kernel LRU must behave like the repo's other telemetry caches
@@ -39,22 +39,19 @@ class TestKernelEquivalence:
     """kernel.evaluate == per-second LoadBalancer.balance + draws, bit for bit."""
 
     @pytest.mark.parametrize("strategy", ["efficient", "proportional"])
-    @pytest.mark.parametrize("compress", [True, False])
-    def test_matches_balance_series(self, machines, strategy, compress):
+    def test_matches_balance_series(self, machines, strategy):
         rng = np.random.default_rng(7)
         rates = np.round(rng.uniform(0.0, 150.0, size=200), 1)  # repeats
         lb = LoadBalancer(strategy)
         kernel = serving_set_kernel(strategy, machines)
-        window = kernel.evaluate(rates, compress=compress)
+        window = kernel.evaluate(rates)
         scalar = [lb.balance(float(r), machines) for r in rates]
-        assert np.array_equal(
-            window.gather(window.unserved), [a.unserved for a in scalar]
-        )
+        assert np.array_equal(window.unserved, [a.unserved for a in scalar])
         for i, m in enumerate(machines):
             shares = np.array([a.shares[m.machine_id] for a in scalar])
-            assert np.array_equal(window.gather(window.loads[i]), shares)
+            assert np.array_equal(window.loads[i], shares)
             assert np.array_equal(
-                window.gather(window.draws[i]),
+                window.draws[i],
                 m.profile.idle_power + m.profile.slope * shares,
             )
 
