@@ -22,8 +22,8 @@ distribution, then the leak check fails if any ``repro``-prefixed
 (``--no-sweep`` skips it).
 
 Next, a control-plane smoke: a 7-day diurnal trace replayed through the
-reference and two-phase engines must be bit-identical, with the second
-engine served from the warm predictor-series cache (``--no-control``
+reference and two-phase engines must be bit-identical, and the
+two-phase run must report its four phase timings (``--no-control``
 skips it).
 
 Last, a serve smoke: the PR 10 streaming daemon tails a temp feed,
@@ -128,14 +128,10 @@ print(
 
 #: In-process script proving the PR 9 vectorized control plane end to
 #: end: a 7-day diurnal trace replayed through both engines must be
-#: bit-identical, and the repeat run must hit the warm predictor-series
-#: cache instead of re-filtering the trace.
+#: bit-identical, and the two-phase run must time its four phases.
 CONTROL_SMOKE = """\
 import numpy as np
 from repro.core.bml import design
-from repro.core.prediction import (
-    clear_prediction_cache, prediction_cache_stats,
-)
 from repro.core.profiles import table_i_profiles
 from repro.sim.loop import EventDrivenReplay
 from repro.workload import patterns
@@ -148,7 +144,6 @@ trace = patterns.make_trace(values, "week-diurnal-smoke")
 infra = design(table_i_profiles())
 table = infra.table(float(np.max(trace.values)))
 
-clear_prediction_cache()
 results = {
     engine: EventDrivenReplay(table, trace).run(engine=engine)
     for engine in ("reference", "twophase")
@@ -159,14 +154,11 @@ for engine, res in results.items():
     assert np.array_equal(res.unserved, ref.unserved), engine
     assert res.meta["meter_energy_j"] == ref.meta["meter_energy_j"], engine
     assert res.reconfigurations == ref.reconfigurations, engine
-stats = prediction_cache_stats()
-assert stats["table_cache_hits"] >= 1, stats  # engine 2 hits warm cache
 phases = results["twophase"].meta["phase_s"]
 assert set(phases) >= {"predict", "control", "evaluate", "settle"}, phases
 print(
     "control smoke: 2 engines bit-identical over 7 diurnal days "
     f"({len(ref.reconfigurations)} reconfigs, "
-    f"{stats['table_cache_hits']} predictor-cache hits, "
     f"twophase control {phases['control']:.2f}s)"
 )
 """

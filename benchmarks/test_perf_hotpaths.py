@@ -308,9 +308,9 @@ def test_perf_control_pass_day(benchmark, infra, diurnal_day_trace):
 
     PR 9's vectorized control plane isolated from evaluate/settle — the
     journal is left open and no kernel evaluation runs, so this tracks
-    exactly the walk the two-phase engine's control phase pays.  The
-    prediction-series cache is process-wide, so rounds after the first
-    measure the walk, not the sliding-maximum filter.  One day repeats
+    exactly what the two-phase engine's control phase pays, the
+    look-ahead maximum included: each round predicts afresh, as every
+    replay does.  One day repeats
     no reconfiguration episode, so this also guards the cost of looking
     for repeats on traces that have none.
     """

@@ -1012,7 +1012,6 @@ def collect_cache_stats() -> dict:
     Exposed as a function (not just a CLI command) so tests and
     long-running drivers can snapshot it programmatically.
     """
-    from .core.prediction import prediction_cache_stats
     from .scenarios.runner import fanout_stats, infra_cache_stats
     from .sim import breakpoint_cache_stats, serving_kernel_cache_stats
     from .workload.trace import shm_stats
@@ -1021,7 +1020,6 @@ def collect_cache_stats() -> dict:
         "infrastructure": infra_cache_stats(),
         "breakpoint_tables": breakpoint_cache_stats(),
         "serving_set_kernels": serving_kernel_cache_stats(),
-        "predictor_series": prediction_cache_stats(),
         "shared_memory": {**shm_stats(), **fanout_stats()},
     }
 
@@ -1036,9 +1034,7 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     rows = []
     for label, counters in stats["infrastructure"].items():
         rows.append({"cache": f"infrastructure[{label}]", **counters})
-    for section in (
-        "breakpoint_tables", "serving_set_kernels", "predictor_series"
-    ):
+    for section in ("breakpoint_tables", "serving_set_kernels"):
         rows.append({"cache": section, **stats[section]})
     if rows:
         print(
@@ -1050,7 +1046,6 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
                     "table_cache_misses",
                     "table_cache_size",
                     "table_cache_maxsize",
-                    "rebuilds",
                 ],
                 title="cache telemetry (this process)",
             )

@@ -152,13 +152,15 @@ def _row_ids(counts: np.ndarray) -> np.ndarray:
     the column's value range), a single vectorised pass — unlike
     ``np.unique(counts, axis=0)``, which sorts all rows (O(n log n) over
     ~7.5 M rows for the World Cup replay).  Two ids are equal iff the rows
-    are equal; nothing else is guaranteed.  Falls back to the sorting path
-    in the (practically unreachable) case the key would overflow int64.
+    are equal; nothing else is guaranteed.  The ids are ``int32`` when
+    every key fits (so are the per-second ids gathered from them), else
+    ``int64``; falls back to the sorting path in the (practically
+    unreachable) case the key would overflow int64.
     """
     counts = np.asarray(counts)
     n, width = counts.shape
     if n == 0 or width == 0:
-        return np.zeros(n, dtype=np.int64)
+        return np.zeros(n, dtype=np.int32)
     mins = counts.min(axis=0)
     spans = [int(s) + 1 for s in (counts.max(axis=0) - mins)]
     total = 1
@@ -170,7 +172,8 @@ def _row_ids(counts: np.ndarray) -> np.ndarray:
     weights = np.ones(width, dtype=np.int64)
     for j in range(width - 2, -1, -1):
         weights[j] = weights[j + 1] * spans[j + 1]
-    return ((counts - mins).astype(np.int64) * weights).sum(axis=1)
+    ids = ((counts - mins).astype(np.int64) * weights).sum(axis=1)
+    return ids.astype(np.int32) if total <= 2 ** 31 else ids
 
 
 def _decision_ids(
@@ -191,7 +194,7 @@ def _decision_ids(
     rows = _row_ids(table.counts_array)
     n = len(pred)
     idx = np.empty(n, dtype=np.int64)
-    cid = np.empty(n, dtype=np.int64)
+    cid = np.empty(n, dtype=rows.dtype)
     oob: List[np.ndarray] = []
     for b0 in range(0, n, _BLOCK):
         ib, ob = table.clipped_index(pred[b0 : b0 + _BLOCK])

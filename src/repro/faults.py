@@ -41,12 +41,6 @@ Injection sites (``SITES``):
 ``trace-read``
     Raise :class:`InjectedFault` from the WC98 archive reader (a failing
     disk / bad archive); keyed by file path.
-``predict-cache``
-    Poison a predictor-series cache entry as it is stored (bit rot in
-    the process-wide memo); keyed by trace name.  Passive: consulted via
-    :func:`check`, :mod:`repro.core.prediction` does the corrupting and
-    must later detect the damaged entry and rebuild instead of trusting
-    it.
 
 Streaming sites (PR 10, :mod:`repro.serve`):
 
@@ -104,7 +98,6 @@ SITES = (
     "worker-hang",
     "corrupt-result",
     "trace-read",
-    "predict-cache",
     "feed-stall",
     "feed-torn-write",
     "serve-crash",

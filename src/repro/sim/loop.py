@@ -23,9 +23,11 @@ Two engines replay that rule:
   power scan per second.  Kept as the executable specification.
 * ``engine="twophase"`` (default) — the two-phase control/evaluate
   engine.  The **control pass** resolves every decision up front with
-  the planner's :class:`~repro.core.scheduler.DecisionWalk`, then
-  advances boundary to boundary (machine-state events, instance-ready
-  times, decision points): between boundaries the serving set is
+  the planner's :class:`~repro.core.scheduler.DecisionWalk` over the
+  run's prediction series (computed once per run, uncached, and freed
+  as soon as the walk is done with it), then advances boundary to
+  boundary (machine-state events, instance-ready times, decision
+  points): between boundaries the serving set is
   piecewise-constant, so the pass runs only the FSM/event bookkeeping
   and emits one ``(serving set, window)`` descriptor per steady
   segment — no kernel math, no energy settling (ledger transitions are
@@ -530,11 +532,10 @@ class EventDrivenReplay:
         covers the trace peak, and a genuine overshoot should still
         raise.
 
-        Served through the process-wide series cache
-        (:func:`repro.core.prediction.cached_prediction_series`): replays
-        and sweep grid points sharing a workload pay the sliding-maximum
-        filter once; the clamp is part of the cache key, so bounded and
-        unbounded runs over the same trace never collide.
+        Computed once per run and not cached
+        (:func:`repro.core.prediction.cached_prediction_series`): the
+        two-phase engine frees the series after its decision walk, the
+        only reader, so it is not resident through evaluate and settle.
         """
         clamp = self.table.max_rate if self.cluster.is_bounded else None
         return cached_prediction_series(self.predictor, trace, clamp=clamp)
@@ -807,9 +808,10 @@ class EventDrivenReplay:
         cid, changes, grid_idx = _decision_ids(self.table, pred, strict=False)
         walk = DecisionWalk(self.table, initial, int(cid[0]), int(grid_idx[0]))
         sched = walk.advance(0, cid, grid_idx, pred, changes)
-        # The walk was their only reader: the ids go, and the grid
-        # indices' resident pages are reused for the rate index.
-        del cid, changes
+        # The walk was their only reader: the predictions and ids go,
+        # and the grid indices' resident pages are reused for the rate
+        # index.
+        del pred, cid, changes
 
         descs: List[Tuple[int, int, int, int]] = []
         kernels: List[object] = []

@@ -286,8 +286,8 @@ def heteroskedastic_noise(
     return np.exp(sig_t * z - 0.5 * sig_t**2)
 
 
-#: Samples per block of :func:`ar1_noise`'s recurrence: the Python floats
-#: alive at once stay bounded whatever the trace length.
+#: Samples per block of :func:`_ar1_filter`'s recurrence: the Python
+#: floats alive at once stay bounded whatever the series length.
 _BLOCK = 1 << 16
 
 
@@ -296,6 +296,27 @@ def _ar1_steps(values, corr, acc):
     for x in values:
         acc = corr * acc + x
         yield acc
+
+
+def _ar1_filter(x: np.ndarray, corr: float, acc: float = 0.0) -> np.ndarray:
+    """Overwrite ``x`` with ``y[n] = corr * y[n-1] + x[n]``, ``y[-1] = acc``.
+
+    The recurrence runs in Python floats, block by block, carrying the
+    last value across blocks.  Each step rounds twice, exactly as the
+    IIR filter ``lfilter([1.0], [1.0, -corr], x, zi=[corr * acc])``
+    does, so the output is bit-identical to it without that filter's
+    import, which costs about a second per process (measured in
+    DESIGN.md).  Returns ``x``.
+    """
+    corr = float(corr)
+    n = len(x)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        x[lo:hi] = np.fromiter(
+            _ar1_steps(x[lo:hi].tolist(), corr, acc), float, hi - lo
+        )
+        acc = x[hi - 1].item()
+    return x
 
 
 def ar1_noise(
@@ -317,20 +338,8 @@ def ar1_noise(
     if sigma == 0:
         return np.ones(duration_s)
     y = rng.normal(0.0, sigma * math.sqrt(1 - corr**2), size=duration_s)
-    # y[n] = corr * y[n-1] + e[n], overwriting the innovations block by
-    # block.  Each step rounds twice, exactly as lfilter([1.0], [1.0,
-    # -corr], e) does, so the output is bit-identical to it without
-    # importing scipy.signal, which costs about a second per process
-    # (DESIGN.md, "synthesis without scipy.signal").
-    corr = float(corr)
-    acc = 0.0
-    for lo in range(0, duration_s, _BLOCK):
-        hi = min(lo + _BLOCK, duration_s)
-        y[lo:hi] = np.fromiter(
-            _ar1_steps(y[lo:hi].tolist(), corr, acc), float, hi - lo
-        )
-        acc = y[hi - 1].item()
-    return np.maximum(1.0 + y, 0.0)
+    # y[n] = corr * y[n-1] + e[n], overwriting the innovations in place.
+    return np.maximum(1.0 + _ar1_filter(y, corr), 0.0)
 
 
 def compose(

@@ -91,7 +91,7 @@ def lookahead_max(values: Sequence[float], window: int) -> np.ndarray:
     Near the end of the series the window truncates to the remaining
     samples (the scheduler keeps serving the real tail of the trace).
     Past the end, blocks repeat the final sample, which every truncated
-    window holds already (scipy's ``mode="nearest"``).
+    window holds already (``maximum_filter1d``'s ``mode="nearest"``).
     """
     arr = _validate(np.asarray(values), window)
     n = len(arr)

@@ -133,34 +133,6 @@ class LoadTrace:
         """Integral of the load (e.g. total requests over the trace)."""
         return float(np.sum(self.values) * self.timestep)
 
-    def content_digest(self) -> str:
-        """Hex digest of the sample content (values + timestep).
-
-        Process-wide caches keyed on workload identity (the predictor
-        series cache of :mod:`repro.core.prediction`) need a key that
-        survives rebuilding the same trace from its spec — object
-        identity does not, and ``name`` alone is a label, not content.
-        The digest covers the full sample buffer, the length and the
-        timestep; it is computed once per instance and memoised (the
-        values array is frozen read-only, so the content cannot drift
-        under the cached digest).
-        """
-        cached = self.__dict__.get("_content_digest")
-        if cached is not None:
-            return cached
-        import hashlib
-
-        # sha1 is the fastest hardware-accelerated digest in hashlib on
-        # the reference box (~2x blake2b on a year-scale buffer); this is
-        # a cache key, not a security boundary.
-        h = hashlib.sha1()
-        h.update(len(self.values).to_bytes(8, "little"))
-        h.update(np.float64(self.timestep).tobytes())
-        h.update(memoryview(self.values))
-        digest = h.hexdigest()
-        object.__setattr__(self, "_content_digest", digest)
-        return digest
-
     def stats(self) -> dict:
         """Summary statistics used by reports."""
         v = self.values

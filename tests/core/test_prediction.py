@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.prediction import (
     EWMAPredictor,
@@ -14,6 +16,7 @@ from repro.core.prediction import (
     NoisyPredictor,
     PerfectPredictor,
     TrailingMaxPredictor,
+    cached_prediction_series,
     paper_window,
 )
 from repro.core.profiles import table_i_profiles
@@ -121,6 +124,31 @@ class TestEWMA:
             ref.append(acc)
         assert np.allclose(pred, ref)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 65_535, 65_536, 65_537, 140_000]),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(0.0, 1.0, exclude_min=True),
+        headroom=st.floats(0.01, 10.0),
+        integer=st.booleans(),
+    )
+    def test_bit_identical_to_lfilter(self, n, seed, alpha, headroom, integer):
+        """The EWMA runs its recurrence in Python floats, block by block;
+        it must equal scipy's ``lfilter`` (the reference, imported here
+        only) bit for bit, across the block edges too."""
+        from scipy.signal import lfilter
+
+        load = np.random.default_rng(seed).uniform(0.0, 3000.0, n)
+        if integer:
+            load = np.round(load)
+        out = EWMAPredictor(alpha=alpha, headroom=headroom).series(load)
+        zi = np.array([(1.0 - alpha) * load[0]])
+        ew, _ = lfilter([alpha], [1.0, -(1.0 - alpha)], load, zi=zi)
+        ref = np.empty_like(load)
+        ref[0] = load[0] * headroom
+        ref[1:] = ew[:-1] * headroom
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+
 
 class TestNoisy:
     def test_deterministic_given_seed(self, sawtooth):
@@ -153,29 +181,75 @@ class TestNoisy:
         assert "perfect" in p.name
 
 
+def _trace(seed: int, n: int = 800, name: str = "clamp-prop") -> LoadTrace:
+    rng = np.random.default_rng(seed)
+    return LoadTrace(rng.uniform(0.0, 2500.0, size=n), name=name)
+
+
+class TestKeySeparation:
+    """The replay's predict-and-clamp step returns each (trace, window,
+    clamp) combination's own series, whatever was computed before."""
+
+    def test_window_clamp_and_trace_never_collide(self):
+        traces = [_trace(3, name="t3"), _trace(4, name="t4")]
+        windows = [30, 200]
+        clamps = [None, 700.0]
+        # Populate every combination, then re-query: each must return
+        # exactly its own freshly computed series.
+        for trace in traces:
+            for window in windows:
+                for clamp in clamps:
+                    cached_prediction_series(
+                        LookAheadMaxPredictor(window), trace, clamp=clamp
+                    )
+        for trace in traces:
+            for window in windows:
+                for clamp in clamps:
+                    predictor = LookAheadMaxPredictor(window)
+                    expect = predictor.series(trace)
+                    if clamp is not None:
+                        expect = np.minimum(expect, clamp)
+                    got = cached_prediction_series(
+                        predictor, trace, clamp=clamp
+                    )
+                    assert np.array_equal(got, expect), (
+                        trace.name, window, clamp
+                    )
+
+    def test_clamped_and_unclamped_entries_are_distinct(self):
+        trace = _trace(5)
+        predictor = LookAheadMaxPredictor(60)
+        unclamped = cached_prediction_series(predictor, trace)
+        clamped = cached_prediction_series(predictor, trace, clamp=500.0)
+        assert unclamped is not clamped
+        assert float(np.max(clamped)) <= 500.0
+        assert float(np.max(unclamped)) > 500.0
+
+
 class TestPredictInterface:
     def test_predict_single_step(self, sawtooth):
         p = LookAheadMaxPredictor(3)
         assert p.predict(sawtooth, 9) == 9.0
 
 
-#: Imports the CLI and computes one look-ahead series in a fresh
-#: interpreter, then reports whether any scipy module got imported.
+#: Imports the CLI and computes one look-ahead and one EWMA series in a
+#: fresh interpreter, then reports whether any scipy module got imported.
 _NO_SCIPY_CHILD = """
 import sys
 import numpy as np
 import repro.cli
-from repro.core.prediction import LookAheadMaxPredictor
+from repro.core.prediction import EWMAPredictor, LookAheadMaxPredictor
 
 LookAheadMaxPredictor().series(np.arange(5000.0) % 97.0)
+EWMAPredictor().series(np.arange(5000.0) % 97.0)
 print(any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
 """
 
 
 def test_import_and_lookahead_series_load_no_scipy():
-    """The sliding maxima are NumPy kernels: importing ``repro`` and
-    predicting must not pay scipy's import (only ``EWMAPredictor`` still
-    loads ``scipy.signal``, when it runs)."""
+    """The sliding maxima are NumPy kernels and the EWMA a Python-float
+    recurrence: importing ``repro`` and predicting must not pay scipy's
+    import (``scipy.signal`` alone costs about a second per process)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(

@@ -272,6 +272,42 @@ class TestRowIds:
         assert np.array_equal(changes, np.flatnonzero(ref[1:] != ref[:-1]) + 1)
         assert np.array_equal(table.counts_array[idx], counts)
 
+    @staticmethod
+    def _same_partition(ids, counts):
+        """Ids equal exactly when rows are equal: the (id, row) pairs
+        are as many as the distinct ids and as the distinct rows."""
+        _, rows = np.unique(counts, axis=0, return_inverse=True)
+        pairs = np.unique(np.stack([ids, rows.reshape(-1)], axis=1), axis=0)
+        n_rows = len(np.unique(counts, axis=0))
+        return len(pairs) == len(np.unique(ids)) == n_rows
+
+    def test_table_i_ids_are_int32(self, infra, short_trace):
+        from repro.core.scheduler import _decision_ids, _row_ids
+
+        table = infra.table(float(short_trace.peak))
+        ids = _row_ids(table.counts_array)
+        assert ids.dtype == np.int32
+        assert self._same_partition(ids, table.counts_array)
+        cid, _, _ = _decision_ids(table, short_trace.values)
+        assert cid.dtype == np.int32
+        assert np.array_equal(
+            cid, ids[table.clipped_index(short_trace.values)[0]]
+        )
+
+    def test_ids_past_2_31_stay_int64(self):
+        from repro.core.scheduler import _row_ids
+
+        # Two columns spanning 2**16 + 1 values each: the key needs more
+        # than 2**31 values, though every count on its own is small.
+        rng = np.random.default_rng(5)
+        counts = rng.integers(0, 2**16 + 1, size=(500, 2))
+        counts[:2] = [[0, 0], [2**16, 2**16]]
+        counts = np.concatenate([counts, counts[::7]])  # repeated rows
+        ids = _row_ids(counts)
+        assert ids.dtype == np.int64
+        assert int(ids.max()) >= 2**31
+        assert self._same_partition(ids, counts)
+
     def test_out_of_table_rate_marks_sentinel_or_raises(self, infra):
         from repro.core.combination import CombinationError
         from repro.core.scheduler import _decision_ids

@@ -5,6 +5,8 @@ predictor; agreement of their per-second power series is the strongest
 correctness evidence in the suite.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,32 @@ class TestSingleUse:
         with pytest.raises(ValueError, match="unknown engine"):
             replay.run(engine="warp")
         assert replay.run().meta["engine"] == "twophase"
+
+
+class TestPredictionLifetime:
+    @pytest.mark.parametrize("engine", ("reference", "twophase"))
+    def test_replay_keeps_no_predictions_alive(
+        self, infra, short_trace, monkeypatch, engine
+    ):
+        """The predictions are read by the decisions only: nothing the
+        finished replay (or any process-wide memo) holds keeps them."""
+        refs = []
+        series = LookAheadMaxPredictor.series
+
+        def tracked(self, load):
+            out = series(self, load)
+            refs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(LookAheadMaxPredictor, "series", tracked)
+        replay = EventDrivenReplay(
+            infra.table(float(short_trace.peak)), short_trace,
+            predictor=LookAheadMaxPredictor(378),
+        )
+        result = replay.run(engine=engine)
+        assert result.n_reconfigurations > 0
+        assert len(refs) == 1
+        assert refs[0]() is None
 
 
 class TestInventoryLimits:

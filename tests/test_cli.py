@@ -295,7 +295,6 @@ class TestCacheStats:
         assert "infrastructure[" in out
         assert "breakpoint_tables" in out
         assert "serving_set_kernels" in out
-        assert "predictor_series" in out
         assert "shared-memory trace fan-out" in out
         assert "segments_created" in out
 
@@ -306,14 +305,11 @@ class TestCacheStats:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {
             "infrastructure", "breakpoint_tables", "serving_set_kernels",
-            "predictor_series", "shared_memory",
+            "shared_memory",
         }
-        for section in (
-            "breakpoint_tables", "serving_set_kernels", "predictor_series"
-        ):
+        for section in ("breakpoint_tables", "serving_set_kernels"):
             assert "table_cache_hits" in payload[section]
             assert "table_cache_maxsize" in payload[section]
-        assert "rebuilds" in payload["predictor_series"]
         shm = payload["shared_memory"]
         for counter in (
             "segments_created", "segments_live", "bytes_attached",
