@@ -47,12 +47,6 @@ Commands
     reconfiguration decisions into a crash-safe journal under DIR, and
     checkpoint so ``--resume`` continues exactly after any crash.
     ``repro serve --status --dir DIR`` prints the daemon's health file.
-``repro cache-stats [--json]``
-    Surface every process-level cache's telemetry in one view: the
-    memoised infrastructures' combination-table counters, the
-    breakpoint-table LRU, the serving-set kernel LRU, and the
-    shared-memory trace fan-out counters (segments, bytes shipped vs
-    pickled).
 """
 
 from __future__ import annotations
@@ -352,13 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--max-polls", type=int, default=None, metavar="N",
         help="stop (resumable) after N feed polls — smoke tests",
-    )
-
-    p_cache = sub.add_parser(
-        "cache-stats", help="show process-level cache telemetry"
-    )
-    p_cache.add_argument(
-        "--json", action="store_true", help="machine-readable JSON output"
     )
     return parser
 
@@ -1000,69 +987,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0 if status == "done" else 3
 
 
-def collect_cache_stats() -> dict:
-    """Every process-level cache's telemetry in one mapping.
-
-    Sections: one ``infrastructure[<key>]`` entry per memoised
-    :class:`~repro.core.bml.BMLInfrastructure` (the combination-table
-    cache counters), the breakpoint-table LRU of :mod:`repro.sim.energy`,
-    the serving-set kernel LRU of :mod:`repro.sim.loadbalancer`, and the
-    ``shared_memory`` trace fan-out counters (segments live/peak, bytes
-    attached zero-copy vs bytes that would otherwise have been pickled).
-    Exposed as a function (not just a CLI command) so tests and
-    long-running drivers can snapshot it programmatically.
-    """
-    from .scenarios.runner import fanout_stats, infra_cache_stats
-    from .sim import breakpoint_cache_stats, serving_kernel_cache_stats
-    from .workload.trace import shm_stats
-
-    return {
-        "infrastructure": infra_cache_stats(),
-        "breakpoint_tables": breakpoint_cache_stats(),
-        "serving_set_kernels": serving_kernel_cache_stats(),
-        "shared_memory": {**shm_stats(), **fanout_stats()},
-    }
-
-
-def _cmd_cache_stats(args: argparse.Namespace) -> int:
-    import json
-
-    stats = collect_cache_stats()
-    if args.json:
-        print(json.dumps(stats, indent=2))
-        return 0
-    rows = []
-    for label, counters in stats["infrastructure"].items():
-        rows.append({"cache": f"infrastructure[{label}]", **counters})
-    for section in ("breakpoint_tables", "serving_set_kernels"):
-        rows.append({"cache": section, **stats[section]})
-    if rows:
-        print(
-            render_table(
-                rows,
-                columns=[
-                    "cache",
-                    "table_cache_hits",
-                    "table_cache_misses",
-                    "table_cache_size",
-                    "table_cache_maxsize",
-                ],
-                title="cache telemetry (this process)",
-            )
-        )
-    else:
-        print("no caches populated in this process")
-    # The shm counters have their own shape (bytes, segment lifecycle),
-    # so they get their own key/value table rather than blank columns.
-    shm_rows = [
-        {"counter": key, "value": value}
-        for key, value in stats["shared_memory"].items()
-    ]
-    print()
-    print(render_table(shm_rows, title="shared-memory trace fan-out"))
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for the ``repro`` console script."""
     args = build_parser().parse_args(argv)
@@ -1076,7 +1000,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "scenario": _cmd_scenario,
         "sweep": _cmd_sweep,
         "serve": _cmd_serve,
-        "cache-stats": _cmd_cache_stats,
     }
     return handlers[args.command](args)
 

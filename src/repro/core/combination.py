@@ -146,9 +146,8 @@ class Combination:
     def __hash__(self) -> int:
         """The generated dataclass hash, memoised like :attr:`counts`.
 
-        Plan execution and the breakpoint cache hash the same serving
-        combinations again and again, and each generated hash re-hashed
-        every profile's fields.
+        Plan execution hashes the same serving combinations again and
+        again, and each generated hash re-hashed every profile's fields.
         """
         cached = self.__dict__.get("_hash")
         if cached is None:
@@ -159,8 +158,11 @@ class Combination:
     def __getstate__(self) -> Dict[str, object]:
         # String hashes are salted per process: a memoised hash pickled to
         # or from a spawned worker would split equal combinations in dicts.
+        # The breakpoints are rebuilt on demand; pickled, they would only
+        # grow plans and worker replies.
         state = self.__dict__.copy()
         state.pop("_hash", None)
+        state.pop("_breakpoints", None)
         return state
 
     # -- basic views ----------------------------------------------------
@@ -229,6 +231,23 @@ class Combination:
             total += prof.slope * share
             remaining -= share
         return total
+
+    @property
+    def breakpoints(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Breakpoints ``(loads, powers)`` of :meth:`power` (cached; do not
+        mutate): the all-idle draw, then one point per architecture group
+        in increasing-slope order."""
+        cached = self.__dict__.get("_breakpoints")
+        if cached is None:
+            caps = [0.0]
+            powers = [self.idle_power]
+            for prof, count in sorted(self.items, key=lambda pc: pc[0].slope):
+                group_cap = prof.max_perf * count
+                caps.append(caps[-1] + group_cap)
+                powers.append(powers[-1] + prof.slope * group_cap)
+            cached = (np.asarray(caps), np.asarray(powers))
+            object.__setattr__(self, "_breakpoints", cached)
+        return cached
 
     def power_canonical(self, rate: float) -> float:
         """Power under the paper's canonical assignment.

@@ -62,17 +62,6 @@ class CrossingReport:
     removed: Dict[str, str]
 
 
-def _single_node_power_grid(
-    prof: ArchitectureProfile, max_units: int, resolution: float
-) -> np.ndarray:
-    """Power of one node at grid rates ``0..max_units`` (inf beyond max_perf)."""
-    rates = np.arange(max_units + 1) * resolution
-    out = np.full(max_units + 1, np.inf)
-    ok = rates <= prof.max_perf * (1 + 1e-12)
-    out[ok] = prof.idle_power + prof.slope * rates[ok]
-    return out
-
-
 def crossing_vs_stack(
     big: ArchitectureProfile,
     little: ArchitectureProfile,

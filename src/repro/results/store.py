@@ -316,14 +316,6 @@ class RunStore:
             )
         return payload
 
-    def drop_state(self, name: str) -> bool:
-        """Delete the named checkpoint; True if one existed."""
-        path = self._state_path(name)
-        if path.exists():
-            path.unlink()
-            return True
-        return False
-
     # -- retention ---------------------------------------------------------
     def prune(self, keep_last: int) -> List[str]:
         """Delete all but each scenario's newest ``keep_last`` runs.

@@ -42,7 +42,6 @@ from .runner import (
     chunk_specs,
     clear_caches,
     fanout_stats,
-    infra_cache_stats,
     run_scenario,
     run_suite,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "run_suite",
     "chunk_specs",
     "clear_caches",
-    "infra_cache_stats",
     "fanout_stats",
     "SweepSpec",
     "SCALAR_AXES",

@@ -72,7 +72,6 @@ __all__ = [
     "run_suite",
     "chunk_specs",
     "clear_caches",
-    "infra_cache_stats",
     "fanout_stats",
 ]
 
@@ -106,7 +105,7 @@ _FANOUT_STATS: Dict[str, int] = {
 
 
 def fanout_stats() -> Dict[str, int]:
-    """Snapshot of the suite fan-out telemetry (``repro cache-stats``)."""
+    """Snapshot of the suite fan-out telemetry (cumulative, this process)."""
     return dict(_FANOUT_STATS)
 
 
@@ -114,24 +113,6 @@ def clear_caches() -> None:
     """Drop the memoised infrastructures and traces (tests, memory)."""
     _INFRA_CACHE.clear()
     _TRACE_CACHE.clear()
-
-
-def infra_cache_stats() -> Dict[str, Dict[str, int]]:
-    """Combination-table telemetry of every memoised infrastructure.
-
-    One entry per cached :class:`BMLInfrastructure`, labelled by its
-    profiles key (``@<powercap>W`` suffixed when capped) — the accessor
-    ``repro cache-stats`` consumes, keeping the cache's key shape out of
-    the CLI layer.
-    """
-    out: Dict[str, Dict[str, int]] = {}
-    for (profiles, powercap), infra in _INFRA_CACHE.items():
-        label = profiles if powercap is None else f"{profiles}@{powercap:g}W"
-        out[label] = {
-            "table_cache_hits": infra.table_cache_hits,
-            "table_cache_misses": infra.table_cache_misses,
-        }
-    return out
 
 
 def _infra_for(spec: ScenarioSpec) -> BMLInfrastructure:

@@ -13,13 +13,7 @@ Two execution paths compute energy and QoS for a scenario:
 """
 
 from .datacenter import execute_plan, lower_bound_result
-from .energy import (
-    EnergyMeter,
-    breakpoint_cache_stats,
-    combination_power,
-    power_breakpoints,
-)
-from .loadbalancer import serving_kernel_cache_stats
+from .energy import EnergyMeter, combination_power, power_breakpoints
 from .powercap import CappedMachine, capped_profile, capped_stack_power
 from .results import QoSReport, SimulationResult
 
@@ -28,8 +22,6 @@ __all__ = [
     "lower_bound_result",
     "combination_power",
     "power_breakpoints",
-    "breakpoint_cache_stats",
-    "serving_kernel_cache_stats",
     "EnergyMeter",
     "QoSReport",
     "SimulationResult",

@@ -4,8 +4,8 @@ The hot path of every replay is "power of combination C at load L(t)" for
 millions of t.  Under the linear model this is a piecewise-linear,
 concave-increasing function of the served load (machines are filled by
 increasing marginal cost), so each combination reduces to a breakpoint
-table evaluated with :func:`numpy.interp`.  Tables are memoised per
-combination (combinations are frozen/hashable).
+table evaluated with :func:`numpy.interp`.  Each combination object
+memoises its own table.
 
 :class:`EnergyMeter` is the per-machine ledger used by the event-driven
 validation simulator (:mod:`repro.sim.machine`); the fast path never needs
@@ -15,10 +15,9 @@ it.
 from __future__ import annotations
 
 import sys
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from math import copysign, frexp, inf, ldexp
-from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -27,8 +26,6 @@ from ..core.combination import Combination
 __all__ = [
     "power_breakpoints",
     "combination_power",
-    "breakpoint_cache_stats",
-    "TelemetryLRU",
     "EnergyMeter",
 ]
 
@@ -86,87 +83,16 @@ def _cumsum_block(buf: np.ndarray, pos: int, total: float) -> float:
     return view.item(-1)
 
 
-class TelemetryLRU:
-    """Bounded LRU memo with ``table_cache_*``-style telemetry.
-
-    Long multi-scenario runs (ablation sweeps, powercap searches) visit an
-    unbounded stream of distinct keys; unbounded module-level dicts grew
-    without limit.  This cache evicts least-recently-used entries past
-    ``maxsize`` and exposes hit/miss counters following the
-    ``table_cache_hits``/``table_cache_misses`` telemetry convention of
-    :class:`repro.core.bml.BMLInfrastructure`.  It backs both the
-    per-combination breakpoint tables here and the per-serving-set
-    composite kernels of :mod:`repro.sim.loadbalancer`.
-    """
-
-    def __init__(self, maxsize: int = 1024) -> None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
-        self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def get(self, key: Hashable) -> Any:
-        value = self._data.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key: Hashable, value: Any) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        self._data.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "table_cache_hits": self.hits,
-            "table_cache_misses": self.misses,
-            "table_cache_size": len(self._data),
-            "table_cache_maxsize": self.maxsize,
-        }
-
-
-_cache = TelemetryLRU()
-
-
-def breakpoint_cache_stats() -> Dict[str, int]:
-    """Hit/miss/size telemetry of the breakpoint-table LRU."""
-    return _cache.stats()
-
-
 def power_breakpoints(combo: Combination) -> _BreakTable:
     """Breakpoints ``(loads, powers)`` of the combination's power function.
 
     ``powers[0]`` is the all-idle draw; subsequent points add each
     architecture group's capacity in increasing-slope order.  Evaluating
     with :func:`numpy.interp` gives the minimal power for any served load
-    in ``[0, capacity]``.
+    in ``[0, capacity]``.  Memoised on the combination object
+    (:attr:`~repro.core.combination.Combination.breakpoints`).
     """
-    cached = _cache.get(combo)
-    if cached is not None:
-        return cached
-    caps = [0.0]
-    powers = [combo.idle_power]
-    for prof, count in sorted(combo.items, key=lambda pc: pc[0].slope):
-        group_cap = prof.max_perf * count
-        caps.append(caps[-1] + group_cap)
-        powers.append(powers[-1] + prof.slope * group_cap)
-    table = (np.asarray(caps), np.asarray(powers))
-    _cache.put(combo, table)
-    return table
+    return combo.breakpoints
 
 
 def combination_power(

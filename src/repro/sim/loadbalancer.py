@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.profiles import ArchitectureProfile
-from .energy import TelemetryLRU
 from .machine import Machine
 
 __all__ = [
@@ -338,24 +337,22 @@ class ServingSetKernel:
         return shares
 
 
-#: Process-wide kernel LRU.  Keys carry the full frozen profiles (not just
-#: machine ids), so reuse across replays — even replays built on different
-#: infrastructures that happen to repeat machine names — is always safe.
-_KERNEL_CACHE = TelemetryLRU(maxsize=256)
-
-
 def serving_set_kernel(
     strategy: str, machines: Sequence[Machine]
 ) -> ServingSetKernel:
-    """The memoised composite kernel for a serving set (order-sensitive)."""
-    key = (strategy, tuple((m.machine_id, m.profile) for m in machines))
-    kernel = _KERNEL_CACHE.get(key)
-    if kernel is None:
-        kernel = ServingSetKernel(strategy, key[1])
-        _KERNEL_CACHE.put(key, kernel)
-    return kernel
+    """The composite kernel for a serving set (order-sensitive).
+
+    Built fresh on every call: the replay memoises one per distinct
+    serving set for the length of its run.
+    """
+    return ServingSetKernel(
+        strategy, tuple((m.machine_id, m.profile) for m in machines)
+    )
 
 
 def serving_kernel_cache_stats() -> Dict[str, int]:
-    """Hit/miss/size telemetry of the serving-set kernel LRU."""
-    return _KERNEL_CACHE.stats()
+    """Zero hits and misses: no kernel is cached across replays (see
+    :func:`serving_set_kernel`).  The name stays because
+    ``perfbench/iteration.py`` reads it in every sample for its
+    ``sim.kernel_cache_hit_ratio``."""
+    return {"table_cache_hits": 0, "table_cache_misses": 0}

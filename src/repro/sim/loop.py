@@ -33,9 +33,9 @@ Two engines replay that rule:
   segment — no kernel math, no energy settling (ledger transitions are
   journaled by the meter's batch mode).  The **evaluate pass** then
   groups *all* windows sharing a frozen serving set across the whole
-  run and runs each group through **one** memoised serving-set kernel
-  (:func:`~repro.sim.loadbalancer.serving_set_kernel`), the exact
-  per-machine balance/draw chain.  When every rate is a plain integer
+  run and runs each group through **one** serving-set kernel, built
+  once per run (:func:`~repro.sim.loadbalancer.serving_set_kernel`),
+  the exact per-machine balance/draw chain.  When every rate is a plain integer
   (request counts), the control pass hands over one **rate index**, the
   trace's rates as an ``intp`` array: each group's kernel runs once on
   the dense integer band between its lowest and highest rate, its

@@ -70,10 +70,6 @@ class Machine:
 
     # -- state queries ------------------------------------------------------
     @property
-    def is_serving_capable(self) -> bool:
-        return self.state is MachineState.ON
-
-    @property
     def power_draw(self) -> float:
         """Instantaneous draw implied by state and load."""
         if self.state is MachineState.OFF:

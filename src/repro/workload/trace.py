@@ -387,15 +387,6 @@ _ATTACHED: dict = {}
 #: repeated attaches of the same segment share one array object.
 _ATTACH_MEMO: dict = {}
 
-_SHM_STATS = {
-    "segments_created": 0,
-    "segments_unlinked": 0,
-    "segments_peak": 0,
-    "bytes_shared": 0,
-    "attaches": 0,
-    "bytes_attached": 0,
-}
-
 _SHM_SEQ = 0
 _ATEXIT_ARMED = False
 
@@ -458,11 +449,6 @@ def share_trace(trace: LoadTrace) -> SharedTraceHandle:
     buf[:] = values
     del buf  # no exported buffer may outlive close()
     _OWNED[name] = shm
-    _SHM_STATS["segments_created"] += 1
-    _SHM_STATS["bytes_shared"] += values.nbytes
-    _SHM_STATS["segments_peak"] = max(
-        _SHM_STATS["segments_peak"], len(_OWNED)
-    )
     return SharedTraceHandle(
         segment=name,
         samples=int(values.size),
@@ -485,7 +471,6 @@ def attach_trace(handle: SharedTraceHandle) -> LoadTrace:
 
     memo = _ATTACH_MEMO.get(handle.segment)
     if memo is not None:
-        _SHM_STATS["attaches"] += 1
         return memo
     shm = _OWNED.get(handle.segment) or _ATTACHED.get(handle.segment)
     if shm is None:
@@ -513,8 +498,6 @@ def attach_trace(handle: SharedTraceHandle) -> LoadTrace:
     arr.flags.writeable = False
     trace = LoadTrace(arr, handle.timestep, handle.name, handle.t0)
     _ATTACH_MEMO[handle.segment] = trace
-    _SHM_STATS["attaches"] += 1
-    _SHM_STATS["bytes_attached"] += handle.nbytes
     return trace
 
 
@@ -542,7 +525,6 @@ def release_segment(handle_or_name) -> None:
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
         _close_quietly(shm)
-        _SHM_STATS["segments_unlinked"] += 1
         return
     shm = _ATTACHED.pop(name, None)
     if shm is not None:
@@ -557,14 +539,7 @@ def release_all_shared() -> None:
 
 
 def shm_stats() -> dict:
-    """Shared-memory telemetry for ``repro cache-stats``.
-
-    Cumulative counters plus the live picture: ``segments_live`` are
-    segments this process currently owns, ``segments_attached`` foreign
-    segments it has mapped.
-    """
-    return {
-        **_SHM_STATS,
-        "segments_live": len(_OWNED),
-        "segments_attached": len(_ATTACHED),
-    }
+    """This process's live shared memory: ``segments_live`` are segments
+    it currently owns, ``segments_attached`` foreign segments it has
+    mapped (the leak checks read both)."""
+    return {"segments_live": len(_OWNED), "segments_attached": len(_ATTACHED)}

@@ -151,10 +151,9 @@ class TestEngineEquivalence:
     def test_cross_replay_kernel_reuse_stays_bit_identical(
         self, infra, short_trace
     ):
-        """PR 5: serving-set kernels are cached process-wide; a second
-        replay served entirely from warm kernels must reproduce the
-        first (and the reference) exactly, and must actually hit."""
-        from repro.sim.loadbalancer import serving_kernel_cache_stats
+        """Two replays of one table and trace in one process, each with
+        the serving-set kernels it builds for itself, reproduce each
+        other and the reference exactly."""
 
         def run(engine):
             return EventDrivenReplay(
@@ -164,16 +163,12 @@ class TestEngineEquivalence:
             ).run(engine=engine)
 
         first = run("twophase")
-        before = serving_kernel_cache_stats()
         second = run("twophase")
-        after = serving_kernel_cache_stats()
         reference = run("reference")
         assert np.array_equal(first.power, second.power)
         assert np.array_equal(second.power, reference.power)
         assert np.array_equal(second.unserved, reference.unserved)
         assert second.meta["meter_energy_j"] == reference.meta["meter_energy_j"]
-        assert after["table_cache_hits"] > before["table_cache_hits"]
-        assert after["table_cache_misses"] == before["table_cache_misses"]
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,7 @@
 """Unit tests for vectorised power evaluation and the energy meter."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,14 @@ class TestBreakpoints:
     def test_cached(self):
         combo = Combination.of({P: 1})
         assert power_breakpoints(combo) is power_breakpoints(combo)
+
+    def test_memo_is_not_pickled(self):
+        """Plans and worker replies pickle their combinations: the memo
+        must not grow them."""
+        combo = Combination.of({P: 1, C: 2, R: 3})
+        before = pickle.dumps(combo)
+        power_breakpoints(combo)
+        assert pickle.dumps(combo) == before
 
 
 class TestCombinationPower:
@@ -124,62 +134,3 @@ class TestBlockFold:
             ]
         )
         assert EnergyMeter._fold(1e6, pieces) == np.cumsum(chain)[-1]
-
-
-class TestBreakpointCacheLRU:
-    """The breakpoint memo is bounded (LRU) and exposes telemetry."""
-
-    def _fresh_cache(self, maxsize):
-        from repro.sim.energy import TelemetryLRU
-
-        return TelemetryLRU(maxsize=maxsize)
-
-    def test_eviction_past_maxsize(self):
-        cache = self._fresh_cache(2)
-        c1, c2, c3 = (
-            Combination.of({P: 1}),
-            Combination.of({C: 1}),
-            Combination.of({R: 1}),
-        )
-        for c in (c1, c2, c3):
-            cache.put(c, (np.zeros(1), np.zeros(1)))
-        assert len(cache) == 2
-        assert cache.get(c1) is None  # least recently used got evicted
-        assert cache.get(c3) is not None
-
-    def test_get_refreshes_recency(self):
-        cache = self._fresh_cache(2)
-        c1, c2, c3 = (
-            Combination.of({P: 1}),
-            Combination.of({C: 1}),
-            Combination.of({R: 1}),
-        )
-        cache.put(c1, (np.zeros(1), np.zeros(1)))
-        cache.put(c2, (np.zeros(1), np.zeros(1)))
-        assert cache.get(c1) is not None  # c1 becomes most recent
-        cache.put(c3, (np.zeros(1), np.zeros(1)))
-        assert cache.get(c2) is None  # c2 was the LRU entry
-        assert cache.get(c1) is not None
-
-    def test_hit_miss_counters(self):
-        cache = self._fresh_cache(4)
-        combo = Combination.of({P: 1})
-        assert cache.get(combo) is None
-        cache.put(combo, (np.zeros(1), np.zeros(1)))
-        assert cache.get(combo) is not None
-        assert cache.hits == 1 and cache.misses == 1
-        stats = cache.stats()
-        assert stats["table_cache_hits"] == 1
-        assert stats["table_cache_misses"] == 1
-        assert stats["table_cache_size"] == 1
-
-    def test_module_stats_exposed(self):
-        from repro.sim.energy import breakpoint_cache_stats
-
-        combo = Combination.of({P: 2, R: 1})
-        power_breakpoints(combo)
-        before = breakpoint_cache_stats()
-        power_breakpoints(combo)
-        after = breakpoint_cache_stats()
-        assert after["table_cache_hits"] == before["table_cache_hits"] + 1
-        assert after["table_cache_maxsize"] >= 1

@@ -1,11 +1,9 @@
-"""Serving-set kernel cache and deferred array ledger (PR 5).
+"""Serving-set kernels and the deferred array ledger.
 
 The composite kernel collapses a steady segment's balance/draw chain to
 a handful of vector ops over the window's rates; the deferred
 ledger buffers per-machine contributions and settles them in one cumsum
-pass.  Both must reproduce the per-second scalar chain bit-for-bit, and
-the kernel LRU must behave like the repo's other telemetry caches
-(eviction, hit/miss counters, cross-segment and cross-replay reuse).
+pass.  Both must reproduce the per-second scalar chain bit-for-bit.
 """
 
 import numpy as np
@@ -15,7 +13,6 @@ from repro.sim.energy import EnergyMeter
 from repro.sim.loadbalancer import (
     LoadBalancer,
     ServingSetKernel,
-    serving_kernel_cache_stats,
     serving_set_kernel,
 )
 from repro.sim.machine import Machine, MachineState
@@ -59,68 +56,6 @@ class TestKernelEquivalence:
         kernel = serving_set_kernel("efficient", machines)
         with pytest.raises(ValueError):
             kernel.evaluate(np.array([1.0, -0.5]))
-
-
-class TestKernelCache:
-    def test_cross_segment_reuse_hits(self, toy_profiles):
-        big, _ = toy_profiles
-        meter = EnergyMeter()
-        m = Machine(machine_id="hit-probe", profile=big, meter=meter)
-        m.state = MachineState.ON
-        before = serving_kernel_cache_stats()
-        k1 = serving_set_kernel("efficient", [m])  # miss: fresh serving set
-        k2 = serving_set_kernel("efficient", [m])  # hit: same serving set
-        after = serving_kernel_cache_stats()
-        assert k1 is k2
-        assert after["table_cache_hits"] == before["table_cache_hits"] + 1
-        assert after["table_cache_misses"] == before["table_cache_misses"] + 1
-
-    def test_order_and_strategy_are_part_of_the_key(self, machines):
-        k1 = serving_set_kernel("efficient", machines)
-        assert serving_set_kernel("proportional", machines) is not k1
-        assert serving_set_kernel("efficient", machines[::-1]) is not k1
-
-    def test_cross_replay_reuse_is_profile_safe(self, toy_profiles):
-        """Same machine ids + different profiles must not collide."""
-        big, little = toy_profiles
-        meter = EnergyMeter()
-        a = Machine(machine_id="m0", profile=big, meter=meter)
-        b = Machine(machine_id="m0", profile=little, meter=meter)
-        a.state = b.state = MachineState.ON
-        assert serving_set_kernel("efficient", [a]) is not serving_set_kernel(
-            "efficient", [b]
-        )
-
-    def test_eviction_and_telemetry(self, toy_profiles):
-        from repro.sim import loadbalancer as lb_mod
-        from repro.sim.energy import TelemetryLRU
-
-        big, little = toy_profiles
-        meter = EnergyMeter()
-        fresh = TelemetryLRU(maxsize=2)
-        original = lb_mod._KERNEL_CACHE
-        lb_mod._KERNEL_CACHE = fresh
-        try:
-            sets = []
-            for i in range(3):
-                m = Machine(machine_id=f"ev{i}", profile=big, meter=meter)
-                m.state = MachineState.ON
-                sets.append([m])
-            kernels = [serving_set_kernel("efficient", s) for s in sets]
-            assert len(fresh) == 2
-            assert fresh.misses == 3
-            # the first set was evicted: asking again misses and rebuilds
-            again = serving_set_kernel("efficient", sets[0])
-            assert again is not kernels[0]
-            assert fresh.misses == 4
-            # the most recent stays hot
-            assert serving_set_kernel("efficient", sets[2]) is kernels[2]
-            assert fresh.hits == 1
-            stats = lb_mod.serving_kernel_cache_stats()
-            assert stats["table_cache_maxsize"] == 2
-            assert stats["table_cache_size"] == 2
-        finally:
-            lb_mod._KERNEL_CACHE = original
 
 
 class TestDeferredLedger:

@@ -284,40 +284,6 @@ class TestScenarioStoreCommands:
             )
 
 
-class TestCacheStats:
-    def test_table_output_after_a_run(self, capsys):
-        from repro import scenarios
-
-        scenarios.run_scenario(scenarios.get("pattern-steady").with_days(1))
-        assert main(["cache-stats"]) == 0
-        out = capsys.readouterr().out
-        assert "cache telemetry" in out
-        assert "infrastructure[" in out
-        assert "breakpoint_tables" in out
-        assert "serving_set_kernels" in out
-        assert "shared-memory trace fan-out" in out
-        assert "segments_created" in out
-
-    def test_json_output_shape(self, capsys):
-        import json
-
-        assert main(["cache-stats", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {
-            "infrastructure", "breakpoint_tables", "serving_set_kernels",
-            "shared_memory",
-        }
-        for section in ("breakpoint_tables", "serving_set_kernels"):
-            assert "table_cache_hits" in payload[section]
-            assert "table_cache_maxsize" in payload[section]
-        shm = payload["shared_memory"]
-        for counter in (
-            "segments_created", "segments_live", "bytes_attached",
-            "trace_builds", "worker_trace_builds", "bytes_pickle_avoided",
-        ):
-            assert counter in shm
-
-
 class TestTrace:
     def test_npz_output(self, capsys, tmp_path):
         out = tmp_path / "t.npz"

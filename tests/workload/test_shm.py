@@ -101,20 +101,13 @@ class TestLifecycle:
     def test_stats_track_segment_lifecycle(self, trace):
         before = shm_stats()
         handle = share_trace(trace)
+        shared = shm_stats()
+        assert shared["segments_live"] == before["segments_live"] + 1
+        # The owner attaching its own segment maps nothing foreign.
         attach_trace(handle)
-        mid = shm_stats()
-        assert mid["segments_created"] == before["segments_created"] + 1
-        assert mid["segments_live"] >= 1
-        assert (
-            mid["bytes_shared"]
-            == before["bytes_shared"] + trace.values.nbytes
-        )
-        assert mid["attaches"] > before["attaches"]
+        assert shm_stats() == shared
         release_segment(handle)
-        after = shm_stats()
-        assert (
-            after["segments_unlinked"] == before["segments_unlinked"] + 1
-        )
+        assert shm_stats() == before
 
 
 class TestZeroCopyAdoption:
