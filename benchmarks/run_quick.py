@@ -238,7 +238,7 @@ def run_control_smoke(env) -> int:
     cmd = [sys.executable, "-c", CONTROL_SMOKE]
     print(
         "$ control-plane smoke (7-day diurnal, 2-engine identity + "
-        "warm predictor cache)",
+        "phase split)",
         flush=True,
     )
     return subprocess.call(cmd, cwd=ROOT, env=env)

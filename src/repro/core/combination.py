@@ -158,10 +158,11 @@ class Combination:
     def __getstate__(self) -> Dict[str, object]:
         # String hashes are salted per process: a memoised hash pickled to
         # or from a spawned worker would split equal combinations in dicts.
-        # The breakpoints are rebuilt on demand; pickled, they would only
-        # grow plans and worker replies.
+        # The counts and breakpoints are rebuilt on demand; pickled, they
+        # would only grow plans and worker replies.
         state = self.__dict__.copy()
         state.pop("_hash", None)
+        state.pop("_counts", None)
         state.pop("_breakpoints", None)
         return state
 

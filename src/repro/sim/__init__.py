@@ -4,12 +4,15 @@ Two execution paths compute energy and QoS for a scenario:
 
 * the **fast path** (:func:`~repro.sim.datacenter.execute_plan`) integrates
   a :class:`~repro.core.reconfiguration.SchedulePlan` against the trace
-  with vectorised numpy — used by all benchmarks;
-* the **event-driven path** (:mod:`repro.sim.machine`,
-  :mod:`repro.sim.cluster`, :mod:`repro.sim.loop`) simulates every machine
-  state transition, application instance and load-balancer update from
-  first principles — the reference implementation the tests cross-check
-  the fast path against.
+  with vectorised numpy — the scenarios' default engine;
+* the **event-driven path** (:mod:`repro.sim.loop` over
+  :mod:`repro.sim.machine`, :mod:`repro.sim.cluster`,
+  :mod:`repro.sim.application`, :mod:`repro.sim.loadbalancer` and
+  :mod:`repro.sim.events`) simulates every machine state transition,
+  instance deployment and load split from first principles: instances
+  serve from the second they are deployed, and the balancer fills
+  machines by increasing marginal cost, the assignment the power model
+  assumes.  The tests cross-check the fast path against it.
 """
 
 from .datacenter import execute_plan, lower_bound_result

@@ -8,16 +8,15 @@ can be expressed:
 * ``malleable`` — can run any number of instances behind the balancer;
   non-malleable services pin ``min_instances == max_instances``;
 * migration = stop the instance, start a replacement on the target
-  machine, update the load balancer; ``stop_time``/``start_time`` model
-  the (small) service interruption, during which the instance serves
-  nothing.
+  machine, update the load balancer.  An instance serves from the second
+  it is deployed: the replay models no start or stop delay.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from .machine import Machine, MachineState
 
@@ -42,25 +41,16 @@ class ApplicationSpec:
     malleable: bool = True
     min_instances: int = 1
     max_instances: Optional[int] = None
-    stop_time: float = 0.5
-    start_time: float = 0.5
 
     def __post_init__(self) -> None:
         if self.min_instances < 1:
             raise ApplicationError("min_instances must be >= 1")
         if self.max_instances is not None and self.max_instances < self.min_instances:
             raise ApplicationError("max_instances < min_instances")
-        if self.stop_time < 0 or self.start_time < 0:
-            raise ApplicationError("migration times must be >= 0")
         if not self.malleable and self.max_instances is None:
             raise ApplicationError(
                 "non-malleable applications must bound max_instances"
             )
-
-    @property
-    def migration_time(self) -> float:
-        """Total service interruption of one instance migration."""
-        return self.stop_time + self.start_time
 
 
 @dataclass
@@ -70,11 +60,6 @@ class AppInstance:
     instance_id: str
     machine: Machine
     started_at: float
-    ready_at: float
-
-    def is_ready(self, now: float) -> bool:
-        """Instance has finished starting and its machine is ON."""
-        return now >= self.ready_at and self.machine.state is MachineState.ON
 
 
 class Application:
@@ -95,10 +80,6 @@ class Application:
         """The instance hosted on ``machine``, if any."""
         iid = self._by_machine.get(machine.machine_id)
         return self._instances.get(iid) if iid else None
-
-    def ready_machines(self, now: float) -> List[Machine]:
-        """Machines whose instance can serve traffic right now."""
-        return [i.machine for i in self._instances.values() if i.is_ready(now)]
 
     # -- lifecycle ----------------------------------------------------------
     def deploy(self, machine: Machine, now: float) -> AppInstance:
@@ -122,7 +103,6 @@ class Application:
             instance_id=f"{self.spec.name}-{next(self._ids)}",
             machine=machine,
             started_at=now,
-            ready_at=now + self.spec.start_time,
         )
         self._instances[inst.instance_id] = inst
         self._by_machine[machine.machine_id] = inst.instance_id
@@ -139,11 +119,9 @@ class Application:
     def migrate(self, source: Machine, target: Machine, now: float) -> AppInstance:
         """Stateless migration: stop on source, start on target.
 
-        Returns the new instance, ready after ``stop_time + start_time``
-        (the paper: "stopping a server instance and launching a new one on
-        the destination machine, and then updating the load balancer").
+        Returns the new instance (the paper: "stopping a server instance
+        and launching a new one on the destination machine, and then
+        updating the load balancer").
         """
         self.retire(source, now)
-        inst = self.deploy(target, now)
-        inst.ready_at = now + self.spec.migration_time
-        return inst
+        return self.deploy(target, now)

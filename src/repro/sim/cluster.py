@@ -4,16 +4,14 @@ The paper assumes "enough machines of each type are available ... which
 enables creating ideal combinations" and notes that, with minor changes,
 limited inventories can be handled.  :class:`Cluster` supports both: an
 unbounded pool lazily instantiates machines on demand; a bounded pool
-raises (or reports infeasibility) when a combination needs more nodes of
-a type than the data center owns (ablation A4 exercises this).
+raises when a combination needs more nodes of a type than the data
+center owns (ablation A4 exercises this).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..core.combination import Combination
 from ..core.profiles import ArchitectureProfile
 from .energy import EnergyMeter
 from .machine import Machine, MachineError, MachineState
@@ -59,10 +57,6 @@ class Cluster:
         """Whether this cluster's machine pools have inventory limits."""
         return self._inventory is not None
 
-    @property
-    def profiles(self) -> Dict[str, ArchitectureProfile]:
-        return dict(self._profiles)
-
     def profile(self, arch: str) -> ArchitectureProfile:
         """One architecture's profile (no dict copy — hot-path accessor)."""
         return self._profiles[arch]
@@ -72,10 +66,6 @@ class Cluster:
         if arch is not None:
             return list(self._pools[arch])
         return [m for pool in self._pools.values() for m in pool]
-
-    def count(self, arch: str, state: MachineState) -> int:
-        """Number of machines of ``arch`` currently in ``state``."""
-        return sum(1 for m in self._pools[arch] if m.state is state)
 
     def n_in_state(self, state: MachineState) -> int:
         """Number of machines in ``state`` across all architectures."""
@@ -93,39 +83,11 @@ class Cluster:
         """ON machines of an architecture (serving-capable)."""
         return [m for m in self._pools[arch] if m.state is MachineState.ON]
 
-    def online_capacity(self) -> float:
-        """Total max_perf of all ON machines."""
-        return sum(
-            m.profile.max_perf
-            for pool in self._pools.values()
-            for m in pool
-            if m.state is MachineState.ON
-        )
-
     def total_power(self) -> float:
         """Instantaneous draw of the whole cluster."""
         return sum(m.power_draw for pool in self._pools.values() for m in pool)
 
-    def state_counts(self) -> Dict[str, Dict[str, int]]:
-        """``arch -> state name -> count`` snapshot (reporting)."""
-        out: Dict[str, Dict[str, int]] = {}
-        for arch, pool in self._pools.items():
-            counts: Dict[str, int] = {}
-            for m in pool:
-                counts[m.state.value] = counts.get(m.state.value, 0) + 1
-            out[arch] = counts
-        return out
-
     # -- allocation --------------------------------------------------------
-    def can_provide(self, combo: Combination) -> bool:
-        """Whether the inventory could ever host ``combo``."""
-        if self._inventory is None:
-            return all(name in self._profiles for name in combo.counts)
-        return all(
-            self._inventory.get(name, 0) >= cnt and name in self._profiles
-            for name, cnt in combo.counts.items()
-        )
-
     def acquire_off_machine(self, arch: str, now: float) -> Machine:
         """An OFF machine of ``arch``, instantiating one if allowed."""
         if arch not in self._pools:

@@ -1,98 +1,47 @@
 """Deterministic discrete-event queue for the machine-level simulator.
 
 A tiny, dependency-free DES core: events are ``(time, sequence)``-ordered
-(FIFO among simultaneous events, so runs are exactly reproducible),
-cancellable, and carry an arbitrary callback.
+(FIFO among simultaneous events, so runs are exactly reproducible) and
+carry an arbitrary callback.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
-__all__ = ["Event", "EventQueue", "SimulationClockError"]
+__all__ = ["EventQueue", "SimulationClockError"]
 
 
 class SimulationClockError(RuntimeError):
-    """Raised when events are scheduled in the past or popped out of order."""
-
-
-@dataclass
-class Event:
-    """A scheduled callback.  ``cancel()`` marks it dead in-place."""
-
-    time: float
-    seq: int
-    callback: Callable[..., None]
-    args: Tuple[Any, ...] = ()
-    cancelled: bool = False
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (O(1); it stays in the heap)."""
-        self.cancelled = True
-
-    def fire(self) -> None:
-        if not self.cancelled:
-            self.callback(*self.args)
+    """Raised when an event is scheduled in the past."""
 
 
 class EventQueue:
-    """Min-heap of :class:`Event` with a monotonic clock."""
+    """Min-heap of ``(time, seq, callback, args)`` with a monotonic clock."""
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[Tuple[float, int, Callable[..., None], Tuple]] = []
         self._seq = itertools.count()
         self.now = 0.0
 
     def __len__(self) -> int:
-        return sum(1 for _, _, e in self._heap if not e.cancelled)
-
-    @property
-    def empty(self) -> bool:
-        """O(1) emptiness fast-path for boundary walks.
-
-        A heap holding only cancelled events counts as non-empty here
-        (``peek_time``/``run_until`` still skip them); callers use this
-        to bypass the queue entirely on long steady stretches, where the
-        heap is genuinely empty.
-        """
-        return not self._heap
+        return len(self._heap)
 
     def schedule(
         self, time: float, callback: Callable[..., None], *args: Any
-    ) -> Event:
+    ) -> None:
         """Schedule ``callback(*args)`` at ``time`` (>= now)."""
         if time < self.now - 1e-9:
             raise SimulationClockError(
                 f"cannot schedule at {time}, clock already at {self.now}"
             )
-        ev = Event(time=time, seq=next(self._seq), callback=callback, args=args)
-        heapq.heappush(self._heap, (ev.time, ev.seq, ev))
-        return ev
-
-    def schedule_in(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> Event:
-        """Schedule relative to the current clock."""
-        return self.schedule(self.now + delay, callback, *args)
+        heapq.heappush(self._heap, (time, next(self._seq), callback, args))
 
     def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or None when empty."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
+        """Time of the next event, or None when empty."""
         return self._heap[0][0] if self._heap else None
-
-    def pop(self) -> Optional[Event]:
-        """Pop and return the next live event, advancing the clock."""
-        while self._heap:
-            _, _, ev = heapq.heappop(self._heap)
-            if ev.cancelled:
-                continue
-            self.now = ev.time
-            return ev
-        return None
 
     def run_until(self, time: float) -> int:
         """Fire every event with ``event.time <= time``; returns the count.
@@ -101,16 +50,9 @@ class EventQueue:
         """
         fired = 0
         heap = self._heap
-        while heap:
-            ev_time, _, ev = heap[0]
-            if ev.cancelled:
-                heapq.heappop(heap)
-                continue
-            if ev_time > time:
-                break
-            heapq.heappop(heap)
-            self.now = ev_time
-            ev.callback(*ev.args)
+        while heap and heap[0][0] <= time:
+            self.now, _, callback, args = heapq.heappop(heap)
+            callback(*args)
             fired += 1
         if time > self.now:
             self.now = time

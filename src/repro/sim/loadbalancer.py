@@ -1,17 +1,12 @@
-"""Load balancer: distributes the request rate over running instances.
+"""Load balancer: splits the request rate over the serving machines.
 
 The paper's target application is a stateless web server behind a load
 balancer, so "the load [can] be distributed among several web server
-instances".  Two strategies are provided:
-
-* ``"efficient"`` (default) — fill machines by increasing marginal power
-  cost (the slope of their linear model); this is the assignment the
-  analytical power model assumes, so the event-driven simulator and the
-  vectorised fast path agree exactly;
-* ``"proportional"`` — classic capacity-weighted spreading (every machine
-  gets the same utilisation fraction); under the linear model the *group*
-  power is identical for homogeneous groups, slightly higher for
-  heterogeneous mixes, which the ablation benches quantify.
+instances".  :func:`balance` fills machines by increasing marginal power
+cost (the slope of their linear model): this is the assignment the
+analytical power model assumes, so the event-driven simulator and the
+vectorised fast path agree exactly.  :class:`ServingSetKernel` runs the
+same fill chain over many rates at once for one frozen serving set.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ from ..core.profiles import ArchitectureProfile
 from .machine import Machine
 
 __all__ = [
-    "LoadBalancer",
+    "balance",
     "Assignment",
     "ServingSetKernel",
     "KernelWindow",
@@ -43,46 +38,25 @@ class Assignment:
     unserved: float
 
 
-class LoadBalancer:
-    """Stateless request-rate splitter over ON machines."""
-
-    def __init__(self, strategy: str = "efficient") -> None:
-        if strategy not in ("efficient", "proportional"):
-            raise ValueError(f"unknown strategy {strategy!r}")
-        self.strategy = strategy
-
-    def balance(self, rate: float, machines: Sequence[Machine]) -> Assignment:
-        """Split ``rate`` over ``machines``; excess demand is unserved."""
-        if rate < 0:
-            raise ValueError("rate must be >= 0")
-        capacity = sum(m.profile.max_perf for m in machines)
-        served = min(rate, capacity)
-        shares: Dict[str, float] = {m.machine_id: 0.0 for m in machines}
-        if served > 0 and machines:
-            if self.strategy == "efficient":
-                remaining = served
-                for m in sorted(machines, key=lambda m: m.profile.slope):
-                    take = min(remaining, m.profile.max_perf)
-                    shares[m.machine_id] = take
-                    remaining -= take
-                    if remaining <= 1e-12:
-                        break
-            else:  # proportional
-                frac = served / capacity
-                for m in machines:
-                    shares[m.machine_id] = frac * m.profile.max_perf
-        return Assignment(
-            shares=shares, served=served, unserved=max(rate - served, 0.0)
-        )
-
-    def apply(
-        self, rate: float, machines: Sequence[Machine], now: float
-    ) -> Assignment:
-        """Balance and push the shares onto the machines (metered)."""
-        assignment = self.balance(rate, machines)
-        for m in machines:
-            m.assign_load(assignment.shares[m.machine_id], now)
-        return assignment
+def balance(rate: float, machines: Sequence[Machine]) -> Assignment:
+    """Split ``rate`` over ``machines``, cheapest slope first; excess
+    demand is unserved."""
+    if rate < 0:
+        raise ValueError("rate must be >= 0")
+    capacity = sum(m.profile.max_perf for m in machines)
+    served = min(rate, capacity)
+    shares: Dict[str, float] = {m.machine_id: 0.0 for m in machines}
+    if served > 0 and machines:
+        remaining = served
+        for m in sorted(machines, key=lambda m: m.profile.slope):
+            take = min(remaining, m.profile.max_perf)
+            shares[m.machine_id] = take
+            remaining -= take
+            if remaining <= 1e-12:
+                break
+    return Assignment(
+        shares=shares, served=served, unserved=max(rate - served, 0.0)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +85,11 @@ class KernelWindow:
 class ServingSetKernel:
     """Composite balance/power evaluator for one frozen serving set.
 
-    Collapses the per-machine chain of per-second
-    :meth:`LoadBalancer.balance` rounds + ``idle + slope * load`` draws
-    into one object whose per-set constants (capacity sum, stable
-    slope-sort order, per-machine linear-model coefficients) are computed
-    once and reused across every segment served by the same set —
+    Collapses the per-machine chain of per-second :func:`balance` rounds
+    + ``idle + slope * load`` draws into one object whose per-set
+    constants (capacity sum, stable slope-sort order, per-machine
+    linear-model coefficients) are computed once and reused across every
+    segment served by the same set —
     typically hundreds of segments per replay, since the replay cycles
     through a handful of combinations.  ``evaluate`` runs the **exact**
     scalar float-operation chain elementwise, so equal rates get equal
@@ -124,24 +98,13 @@ class ServingSetKernel:
     """
 
     __slots__ = (
-        "strategy",
-        "machine_ids",
-        "capacity",
-        "_order",
-        "_max_perfs",
-        "_slopes",
-        "_idles",
+        "machine_ids", "capacity", "_order", "_max_perfs", "_slopes", "_idles",
     )
 
-    def __init__(
-        self,
-        strategy: str,
-        members: Sequence[Tuple[str, ArchitectureProfile]],
-    ) -> None:
-        self.strategy = strategy
+    def __init__(self, members: Sequence[Tuple[str, ArchitectureProfile]]) -> None:
         self.machine_ids: Tuple[str, ...] = tuple(mid for mid, _ in members)
         profiles = [prof for _, prof in members]
-        # Same Python-sum order as LoadBalancer.balance's capacity.
+        # Same Python-sum order as balance's capacity.
         self.capacity = sum(p.max_perf for p in profiles)
         # Stable sort by slope = the scalar fill order.
         self._order = sorted(range(len(profiles)), key=lambda i: profiles[i].slope)
@@ -152,43 +115,12 @@ class ServingSetKernel:
     def evaluate(
         self, rates: np.ndarray, pre_validated: bool = False
     ) -> KernelWindow:
-        """Evaluate rates through the composite chain, element for element.
+        """Evaluate rates through the fill chain, element for element.
 
         ``pre_validated=True`` skips the non-negativity check — for
         callers that validated the full series once up front (the replay
-        checks the whole trace before segmenting it into windows).
-        """
-        rates = np.asarray(rates, dtype=float)
-        if not pre_validated and np.any(rates < 0):
-            raise ValueError("rate must be >= 0")
-        served = np.minimum(rates, self.capacity)
-        n = len(self.machine_ids)
-        loads: List[Optional[np.ndarray]] = [None] * n
-        draws: List[Optional[np.ndarray]] = [None] * n
-        if n:
-            if self.strategy == "efficient":
-                loads, draws = self._evaluate_efficient(rates, served)
-            elif self.capacity > 0:  # proportional
-                frac = served / self.capacity
-                loads = [frac * mp for mp in self._max_perfs]
-                draws = [
-                    self._idles[i] + self._slopes[i] * loads[i]
-                    for i in range(n)
-                ]
-            else:  # degenerate set: nothing can be served
-                loads = [np.zeros(len(rates)) for _ in range(n)]
-                draws = [np.full(len(rates), self._idles[i]) for i in range(n)]
-        return KernelWindow(
-            kernel=self,
-            loads=tuple(loads),
-            draws=tuple(draws),
-            unserved=np.maximum(rates - served, 0.0),
-        )
-
-    def _evaluate_efficient(
-        self, rates: np.ndarray, served: np.ndarray
-    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """The ``"efficient"`` fill chain with constant-column elision.
+        checks the whole trace before segmenting it into windows).  An
+        empty serving set has no columns and leaves every rate unserved.
 
         The masked per-machine chain (``take = where(active,
         min(remaining, cap), 0)``; ``remaining -= take``; ``active &=
@@ -216,6 +148,10 @@ class ServingSetKernel:
         bit-identical to the full masked chain (pinned by the kernel and
         replay property suites).
         """
+        rates = np.asarray(rates, dtype=float)
+        if not pre_validated and np.any(rates < 0):
+            raise ValueError("rate must be >= 0")
+        served = np.minimum(rates, self.capacity)
         nu = len(rates)
         mps, slopes, idles = self._max_perfs, self._slopes, self._idles
         n = len(self.machine_ids)
@@ -233,7 +169,7 @@ class ServingSetKernel:
         r_hi = hi if hi < cap else cap
         act_lo = r_lo > 0 and nu > 0
         act_hi = r_hi > 0 and nu > 0
-        last = self._order[-1]
+        last = self._order[-1] if self._order else -1
         pending: List[float] = []  # constant takes not yet applied to arrays
         remaining: Optional[np.ndarray] = None  # materialised lazily
         active: Optional[np.ndarray] = None  # None == "every element active"
@@ -304,14 +240,19 @@ class ServingSetKernel:
                     t = r_hi if r_hi < c else c
                     r_hi -= t
                     act_hi = r_hi > 1e-12
-        return loads, draws
+        return KernelWindow(
+            kernel=self,
+            loads=tuple(loads),
+            draws=tuple(draws),
+            unserved=np.maximum(rates - served, 0.0),
+        )
 
     def loads_at(self, rate: float) -> List[float]:
         """Final per-machine loads of one scalar balance at ``rate``.
 
-        The exact float chain of :meth:`LoadBalancer.balance` (same stable
-        fill order, same running subtraction, same ``1e-12`` break) on the
-        kernel's cached constants, returned as a list aligned with
+        The exact float chain of :func:`balance` (same stable fill order,
+        same running subtraction, same ``1e-12`` break) on the kernel's
+        cached constants, returned as a list aligned with
         ``machine_ids`` — no sort, no dict, no Assignment.  The replay's
         control pass uses this to refresh FSM-visible machine loads at
         decision/handover boundaries.
@@ -321,33 +262,24 @@ class ServingSetKernel:
         cap = self.capacity
         served = rate if rate < cap else cap
         shares = [0.0] * len(self.machine_ids)
-        if served > 0 and shares:
-            if self.strategy == "efficient":
-                remaining = served
-                for i in self._order:
-                    take = remaining if remaining < self._max_perfs[i] else self._max_perfs[i]
-                    shares[i] = take
-                    remaining -= take
-                    if remaining <= 1e-12:
-                        break
-            else:  # proportional
-                frac = served / cap
-                for i, mp in enumerate(self._max_perfs):
-                    shares[i] = frac * mp
+        if served > 0:
+            remaining = served
+            for i in self._order:
+                take = remaining if remaining < self._max_perfs[i] else self._max_perfs[i]
+                shares[i] = take
+                remaining -= take
+                if remaining <= 1e-12:
+                    break
         return shares
 
 
-def serving_set_kernel(
-    strategy: str, machines: Sequence[Machine]
-) -> ServingSetKernel:
+def serving_set_kernel(machines: Sequence[Machine]) -> ServingSetKernel:
     """The composite kernel for a serving set (order-sensitive).
 
     Built fresh on every call: the replay memoises one per distinct
     serving set for the length of its run.
     """
-    return ServingSetKernel(
-        strategy, tuple((m.machine_id, m.profile) for m in machines)
-    )
+    return ServingSetKernel(tuple((m.machine_id, m.profile) for m in machines))
 
 
 def serving_kernel_cache_stats() -> Dict[str, int]:

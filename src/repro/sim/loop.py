@@ -4,9 +4,9 @@ This is the from-first-principles counterpart of the vectorised
 :func:`repro.sim.datacenter.execute_plan`: every machine is a real
 :class:`~repro.sim.machine.Machine` FSM, boots and shutdowns are events in
 an :class:`~repro.sim.events.EventQueue`, application instances are
-deployed/retired/migrated explicitly, and a
-:class:`~repro.sim.loadbalancer.LoadBalancer` re-splits the request rate
-every second.  Energy comes out of the per-machine
+deployed/retired/migrated explicitly (each serves from the second it is
+deployed), and :func:`~repro.sim.loadbalancer.balance` re-splits the
+request rate every second.  Energy comes out of the per-machine
 :class:`~repro.sim.energy.EnergyMeter` ledger.
 
 Decision rule (identical to :class:`~repro.core.scheduler.BMLScheduler`):
@@ -26,8 +26,8 @@ Two engines replay that rule:
   the planner's :class:`~repro.core.scheduler.DecisionWalk` over the
   run's prediction series (computed once per run, uncached, and freed
   as soon as the walk is done with it), then advances boundary to
-  boundary (machine-state events, instance-ready times, decision
-  points): between boundaries the serving set is
+  boundary (machine-state events and decision points): between
+  boundaries the serving set is
   piecewise-constant, so the pass runs only the FSM/event bookkeeping
   and emits one ``(serving set, window)`` descriptor per steady
   segment — no kernel math, no energy settling (ledger transitions are
@@ -86,7 +86,7 @@ from .application import AppInstance, Application, ApplicationSpec
 from .cluster import Cluster
 from .energy import EnergyMeter
 from .events import EventQueue
-from .loadbalancer import LoadBalancer, ServingSetKernel, serving_set_kernel
+from .loadbalancer import ServingSetKernel, balance, serving_set_kernel
 from .machine import Machine, MachineState
 from .results import SimulationResult
 
@@ -143,11 +143,10 @@ class _Episode(NamedTuple):
     journal: tuple  #: ``set_power`` tuples and markers
     descs: tuple
     machines: tuple  #: (machine, state, load, booted, stopped)
-    born: tuple  #: (machine, start offset, ready delay) per new instance
+    born: tuple  #: (machine, start offset) per new instance
     migrations: int
     peak: int  #: peak ON census
     serving: list
-    ready: list
 
 
 def _rate_index(values: np.ndarray, out: np.ndarray) -> Optional[np.ndarray]:
@@ -345,8 +344,6 @@ class EventDrivenReplay:
         table: CombinationTable,
         trace: LoadTrace,
         predictor: Optional[Predictor] = None,
-        app_spec: Optional[ApplicationSpec] = None,
-        balancer: Optional[LoadBalancer] = None,
         inventory: Optional[Dict[str, int]] = None,
     ) -> None:
         if abs(trace.timestep - 1.0) > 1e-12:
@@ -354,8 +351,7 @@ class EventDrivenReplay:
         self.table = table
         self.trace = trace
         self.predictor = predictor or LookAheadMaxPredictor()
-        self.app = Application(app_spec or ApplicationSpec(stop_time=0.0, start_time=0.0))
-        self.balancer = balancer or LoadBalancer()
+        self.app = Application(ApplicationSpec())
         self.meter = EnergyMeter()
         self.cluster = Cluster(
             list(table.profiles), meter=self.meter, inventory=inventory
@@ -388,9 +384,6 @@ class EventDrivenReplay:
                 m.transition_ends = None
                 self.meter.set_power(m.machine_id, m.power_draw, now)
                 self.app.deploy(m, now)
-                inst = self.app.instance_on(m)
-                assert inst is not None
-                inst.ready_at = now  # pre-warmed
         self._current = combo
         self._serving = self.cluster.machines()
 
@@ -540,16 +533,6 @@ class EventDrivenReplay:
         clamp = self.table.max_rate if self.cluster.is_bounded else None
         return cached_prediction_series(self.predictor, trace, clamp=clamp)
 
-    def _ready_serving(self, t: int) -> List[Machine]:
-        """Serving machines whose instance can take traffic at second ``t``."""
-        return [
-            m
-            for m in self._serving
-            if m.state is MachineState.ON
-            and (inst := self.app.instance_on(m)) is not None
-            and inst.is_ready(t)
-        ]
-
     def _finish(self, horizon: int, power, unserved, extra_meta) -> SimulationResult:
         # Let in-flight transitions finish for exact energy accounting.
         t0 = _time.perf_counter()
@@ -637,8 +620,15 @@ class EventDrivenReplay:
                 target = self.table.combination_for(float(pred[t]))
                 if target != self._current:
                     self._start_reconfiguration(t, target)
-            ready = self._ready_serving(t)
-            assignment = self.balancer.apply(float(trace.values[t]), ready, t)
+            serving = [
+                m
+                for m in self._serving
+                if m.state is MachineState.ON
+                and self.app.instance_on(m) is not None
+            ]
+            assignment = balance(float(trace.values[t]), serving)
+            for m in serving:
+                m.assign_load(assignment.shares[m.machine_id], t)
             unserved[t] = assignment.unserved
             power[t] = self.cluster.total_power()
             n_on = self.cluster.n_in_state(MachineState.ON)
@@ -653,17 +643,18 @@ class EventDrivenReplay:
         rate: float,
         kernel: Optional[ServingSetKernel],
     ) -> None:
-        """Leave ``ready`` machines holding the previous window's final load.
+        """Leave the serving machines ``ready`` holding the previous
+        window's final load.
 
         The reference engine assigns loads as a side effect of every
         second; the pure control pass only needs them where the FSM reads
         them (shutdown-victim ordering, drain checks), so it runs one
         scalar balance round there on the serving set's kernel
         (:meth:`ServingSetKernel.loads_at`, the exact float chain of
-        :meth:`LoadBalancer.balance` on the kernel's cached fill order),
-        with :meth:`Machine.assign_load`'s clamp.  Loads are written
-        directly — the journal, not this refresh, is what the meter sees.
-        ``kernel`` is the one ``ready`` was evaluated on; it is only
+        :func:`~repro.sim.loadbalancer.balance` on the kernel's cached
+        fill order), with :meth:`Machine.assign_load`'s clamp.  Loads are
+        written directly — the journal, not this refresh, is what the
+        meter sees.  ``kernel`` is the one built for ``ready``; it is only
         ``None`` before the first window, when ``ready`` is empty.
         """
         if not ready:
@@ -674,7 +665,7 @@ class EventDrivenReplay:
                 m.load = 0.0
 
     def _record_episode(
-        self, recording: Tuple, peak: int, descs: List, ready: List[Machine]
+        self, recording: Tuple, peak: int, descs: List
     ) -> _Episode:
         """The episode the FSM just ran from the recording's decision."""
         _, _, t, jstart, dstart, migrations, _ = recording
@@ -703,14 +694,10 @@ class EventDrivenReplay:
                 (m, m.state, m.load, m.state is on, m.state is not on)
                 for m in touched
             ),
-            born=tuple(
-                (i.machine, i.started_at - t, i.ready_at - i.started_at)
-                for i in born
-            ),
+            born=tuple((i.machine, i.started_at - t) for i in born),
             migrations=self.stats.migrations - migrations,
             peak=peak,
             serving=self._serving,
-            ready=ready,
         )
 
     def _replay_episode(
@@ -735,10 +722,9 @@ class EventDrivenReplay:
             m.shutdowns += stopped
             if stopped:  # a victim: its instance retired
                 del app._instances[app._by_machine.pop(m.machine_id)]
-        for m, rel, delay in ep.born:
-            now = rel + t
+        for m, rel in ep.born:
             iid = f"{app.spec.name}-{next(app._ids)}"
-            app._instances[iid] = AppInstance(iid, m, now, now + delay)
+            app._instances[iid] = AppInstance(iid, m, rel + t)
             app._by_machine[m.machine_id] = iid
         stats = self.stats
         for name, cnt in tr.starts:
@@ -757,40 +743,41 @@ class EventDrivenReplay:
     def _control_pass(self) -> _ControlPlan:
         """Phase 1: walk boundaries, emit descriptors, journal the meter.
 
-        Boundaries are events, decision points and instance-ready
-        ceilings; serving pairs and accumulation plans are cached per
-        epoch, and each steady segment becomes one ``(t, b, kernel,
-        plan)`` descriptor plus one marker in the meter's journal.  The
-        decisions come from one :class:`~repro.core.scheduler.DecisionWalk`
-        over the whole decision series — times, targets, windows and
-        record fields resolved up front — so the per-boundary work left
-        here is the irreducible FSM/event bookkeeping plus descriptor
-        emission.  Steady boundaries with no state change and no instance-ready
-        threshold crossed reuse the previous segment's kernel/plan
-        indices outright.  Machine loads are only refreshed (one scalar
-        balance) at boundaries where a hand-over or decision reads them.
+        Boundaries are events and decision points; each steady segment
+        becomes one ``(t, b, kernel, plan)`` descriptor plus one marker in
+        the meter's journal.  The decisions come from one
+        :class:`~repro.core.scheduler.DecisionWalk` over the whole
+        decision series — times, targets, windows and record fields
+        resolved up front — so the per-boundary work left here is the
+        irreducible FSM/event bookkeeping plus descriptor emission.
+        Boundaries where no event fired and no decision was taken reuse
+        the previous segment's kernel and plan indices outright.  An
+        instance serves from its deployment second, and ``_handover``
+        deploys on every ON machine of the list it installs, so the
+        serving list is the kernel's machine set: the kernel is looked up
+        only when a hand-over, or the initial set, replaces that list.
+        Machine loads are only refreshed (one scalar balance) at
+        boundaries where a hand-over or decision reads them.
 
         **Episode templates.**  An episode is everything from one
         decision to the next.  It is replayed from a record of this pass
-        when the queue is empty, no hand-over is pending, every serving
-        instance is ready and every non-OFF machine is in the ready set
-        (so every machine is ON or OFF), and both ``t + boot + off`` and
-        the record's last descriptor start fall before the next
-        decision; otherwise the FSM runs it.  The key is (kernel index,
-        plan index, target combination (by identity), shutdown victims,
-        ``stats.migrations % n_booted``), and it is complete: the kernel
-        fixes the ON set, hence the combination and the transition; the
-        booted machines are the first OFF ones in pool order (a record
-        creates no machine, and pools only grow); the victims are picked
-        by the hand-over's own code from the loads it refreshes; the
-        migration counter fixes the round-robin targets.  Every other
-        input is a constant or the decision second plus an integer or a
-        spec delay in multiples of 2**-10 s (templating is off for other
-        delays), so offsets reproduce times exactly.  A key is recorded
-        on its second sighting, and its victims are only computed from
-        then on.  Picking the victims refreshes the serving set's loads
-        at the hand-over's rate, as the hand-over does, so a hit leaves
-        every machine the load the FSM run would leave it.
+        when the queue is empty, no hand-over is pending and every
+        non-OFF machine serves (so every machine is ON or OFF), and both
+        ``t + boot + off`` and the record's last descriptor start fall
+        before the next decision; otherwise the FSM runs it.  The key is
+        (kernel index, plan index, target combination (by identity),
+        shutdown victims, ``stats.migrations % n_booted``), and it is
+        complete: the kernel fixes the ON set, hence the combination and
+        the transition; the booted machines are the first OFF ones in
+        pool order (a record creates no machine, and pools only grow);
+        the victims are picked by the hand-over's own code from the loads
+        it refreshes; the migration counter fixes the round-robin
+        targets.  Every other input is a constant or the decision second
+        plus an integer, so offsets reproduce times exactly.  A key is
+        recorded on its second sighting, and its victims are only
+        computed from then on.  Picking the victims refreshes the serving
+        set's loads at the hand-over's rate, as the hand-over does, so a
+        hit leaves every machine the load the FSM run would leave it.
         """
         trace = self.trace
         horizon = len(trace)
@@ -814,55 +801,31 @@ class EventDrivenReplay:
         del pred, cid, changes
 
         descs: List[Tuple[int, int, int, int]] = []
-        kernels: List[object] = []
+        kernels: List[ServingSetKernel] = []
         kernel_idx: Dict[Tuple[str, ...], int] = {}
         plans: List[Tuple[Tuple[Optional[str], float], ...]] = []
         plan_idx: Dict[Tuple[Tuple[Optional[str], float], ...], int] = {}
         machine_list: List[Machine] = []
-        serving_pairs: List[Tuple[Machine, object]] = []
-        serving_src: Optional[List[Machine]] = None
         n_mach_seen = -1
-        prev_ready: List[Machine] = []
-        prev_kernel: Optional[ServingSetKernel] = None
-        plan_key: Optional[Tuple[str, ...]] = None
+        #: the serving list the current kernel was looked up for
+        ready: List[Machine] = []
+        kernel: Optional[ServingSetKernel] = None
         k_idx = -1
         p_idx = -1
-        #: sorted instance-ready thresholds of the current serving epoch;
-        #: ``pr_i`` points past every threshold already reached.
-        pending_ready: List[float] = []
-        pr_i = 0
-        #: The ready list is a pure function of (serving epoch, ``pr_i``):
-        #: between serving-list replacements a serving machine never
-        #: leaves ON (victims are stopped by the hand-over that also
-        #: replaces the list) and its instance's ``ready_at`` is fixed,
-        #: while ``is_ready`` uses the same ``now >= ready_at``
-        #: comparison that advances ``pr_i``.  So the filter only needs
-        #: re-running when either input changes — not on every segment.
-        ready: List[Machine] = []
-        memo_key: Tuple = ()
-        ready_stale = True
         #: Episode templates of this pass: key without the victims ->
         #: ``None`` once sighted, then victims -> record.
         templates: Dict[Tuple, Optional[Dict[Tuple, _Episode]]] = {}
         recording: Optional[Tuple] = None
-        plan_steady: List[bool] = []  # per plan: every non-OFF one ready
+        plan_steady: List[bool] = []  # per plan: every non-OFF one serves
         on_hi = 0  # peak ON census since the recording started
         n_templated = n_templates = 0
         journal = self.meter._batch
-        # Spec delays in multiples of 2**-10 s shift exactly with t.
-        spec = self.app.spec
-        templating = all(
-            float(x * 1024).is_integer()
-            for x in (spec.start_time, spec.migration_time)
-        )
         queue = self.queue
         heap = queue._heap  # stable list object; run_until mutates in place
         run_until = queue.run_until
         batch_mark = self.meter.batch_mark
         descs_append = descs.append
-        instance_on = self.app.instance_on
         cluster = self.cluster
-        strategy = self.balancer.strategy
         on_state = MachineState.ON
         off_state = MachineState.OFF
         sched_i = 0
@@ -870,7 +833,6 @@ class EventDrivenReplay:
         next_decide = sched[0][0] if n_sched else horizon
         t = 0
         while t < horizon:
-            pr_seen = pr_i
             if t == next_decide:
                 _, target, tr = sched[sched_i]
                 sched_i += 1
@@ -880,17 +842,16 @@ class EventDrivenReplay:
                 steady = (
                     not heap
                     and self._pending_handover is None
-                    and pr_i == len(pending_ready)
                     and plan_steady[p_idx]
                 )
                 if recording is not None:
                     if steady and recording[-1] == cluster.n_machines:
                         recording[0][recording[1]] = self._record_episode(
-                            recording, on_hi, descs, ready
+                            recording, on_hi, descs
                         )
                         n_templates += 1
                     recording = None
-                if steady and templating and (
+                if steady and (
                     t + tr.boot_duration + tr.off_duration < next_decide
                 ):
                     n_boot = sum(c for _, c in tr.starts)
@@ -912,9 +873,9 @@ class EventDrivenReplay:
                         # The victims, as the hand-over will pick them
                         # from the loads it will refresh.
                         self._refresh_loads(
-                            prev_ready,
+                            ready,
                             float(values[t + tr.boot_duration - 1]),
-                            prev_kernel,
+                            kernel,
                         )
                         vkey = tuple(
                             m.machine_id
@@ -934,23 +895,17 @@ class EventDrivenReplay:
                                 descs,
                             )
                             n_templated += 1
-                            # ``ready`` and the memo keys are recomputed
-                            # before they are read again; the serving
-                            # pairs are rebuilt from the new serving list.
+                            # The episode's last descriptor is served by
+                            # the serving list it left.
                             _, _, k_idx, p_idx = ep.descs[-1]
-                            prev_ready = ep.ready
-                            prev_kernel = kernels[k_idx]
-                            serving_src = None
-                            pending_ready = []
-                            pr_i = 0
+                            ready = self._serving
+                            kernel = kernels[k_idx]
                             t = next_decide
                             continue
                 # Loads are only read by the hand-over path (victim
                 # ordering, drain checks) and the decision that may start
                 # one — boot/shutdown completions never look at them.
-                self._refresh_loads(
-                    prev_ready, float(values[t - 1]), prev_kernel
-                )
+                self._refresh_loads(ready, float(values[t - 1]), kernel)
                 run_until(t)
                 self._start_scheduled(t, target, tr)
                 state_changed = True
@@ -961,114 +916,73 @@ class EventDrivenReplay:
             else:
                 ph = self._pending_handover
                 if ph is not None and ph <= t:
-                    self._refresh_loads(
-                        prev_ready, float(values[t - 1]), prev_kernel
-                    )
+                    self._refresh_loads(ready, float(values[t - 1]), kernel)
                 state_changed = run_until(t) > 0 or t == 0
 
             b = next_decide
             if heap:
                 nxt = queue.peek_time()
-                if nxt is not None:
-                    nb = _ceil_s(nxt)
-                    if nb <= t:
-                        nb = t + 1
-                    if nb < b:
-                        b = nb
-            if state_changed:
-                # The (machine, instance) pairing only changes when the
-                # serving list is replaced (hand-over / initial set) and
-                # the pool-order machine list only when a pool grows;
-                # boot/shutdown completions mutate machine *state*, which
-                # the per-segment ready filter re-reads anyway.
-                if serving_src is not self._serving:
-                    serving_src = self._serving
-                    serving_pairs = [
-                        (m, instance_on(m)) for m in serving_src
-                    ]
-                    pending_ready = sorted(
-                        inst.ready_at
-                        for _, inst in serving_pairs
-                        if inst is not None
-                    )
-                    pr_i = 0
-                    ready_stale = True
-                if n_mach_seen != cluster.n_machines:
-                    n_mach_seen = cluster.n_machines
-                    machine_list = cluster.machines()
-            n_pending = len(pending_ready)
-            while pr_i < n_pending and pending_ready[pr_i] <= t:
-                pr_i += 1
-                ready_stale = True
-            if pr_i < n_pending:
-                nb = _ceil_s(pending_ready[pr_i])
+                nb = _ceil_s(nxt)
                 if nb <= t:
                     nb = t + 1
                 if nb < b:
                     b = nb
-
-            if not state_changed and pr_i == pr_seen and descs:
-                # Nothing moved since the previous segment: same ready
+            if not state_changed:
+                # Nothing moved since the previous segment: same serving
                 # set, same kernel, same plan — emit and advance.
                 batch_mark(len(descs))
                 descs_append((t, b, k_idx, p_idx))
                 t = b
                 continue
 
-            if ready_stale:
-                ready = [
-                    m
-                    for m, inst in serving_pairs
-                    if m.state is on_state
-                    and inst is not None
-                    and inst.is_ready(t)
-                ]
-                memo_key = (strategy, *(m.machine_id for m in ready))
-                k_idx = kernel_idx.get(memo_key)
+            if ready is not self._serving:
+                ready = self._serving
+                key = tuple(m.machine_id for m in ready)
+                k_idx = kernel_idx.get(key)
                 if k_idx is None:
-                    k_idx = kernel_idx[memo_key] = len(kernels)
-                    kernels.append(serving_set_kernel(strategy, ready))
-                ready_stale = False
-            if state_changed or memo_key != plan_key:
-                # Ready machines contribute their kernel draw column; the
-                # constant slot is unused for them (0.0 keeps plans that
-                # differ only in stale ready-machine loads deduplicating).
-                # The same walk doubles as the ON census for the peak
-                # counter — no separate pool scan per state change.
-                ready_ids = frozenset(m.machine_id for m in ready)
-                n_on = 0
-                items = []
-                for m in machine_list:
-                    state = m.state
-                    if state is off_state:
-                        continue
-                    if state is on_state:
-                        n_on += 1
-                    items.append(
-                        (m.machine_id, 0.0)
-                        if m.machine_id in ready_ids
-                        else (None, m.power_draw)
-                    )
-                acc_plan = tuple(items)
-                p_idx = plan_idx.get(acc_plan)
-                if p_idx is None:
-                    p_idx = plan_idx[acc_plan] = len(plans)
-                    plans.append(acc_plan)
-                    plan_steady.append(len(items) == len(ready))
-                plan_key = memo_key
-                if state_changed:
-                    if n_on > on_hi:
-                        on_hi = n_on
-                    if n_on > self.stats.peak_machines_on:
-                        self.stats.peak_machines_on = n_on
+                    k_idx = kernel_idx[key] = len(kernels)
+                    kernels.append(serving_set_kernel(ready))
+                kernel = kernels[k_idx]
+            # Boot/shutdown completions mutate machine state, not the
+            # pool-order machine list; that changes only when a pool grows.
+            if n_mach_seen != cluster.n_machines:
+                n_mach_seen = cluster.n_machines
+                machine_list = cluster.machines()
+            # Serving machines contribute their kernel draw column; the
+            # constant slot is unused for them (0.0 keeps plans that
+            # differ only in stale serving-machine loads deduplicating).
+            # The same walk doubles as the ON census for the peak
+            # counter — no separate pool scan per state change.
+            ready_ids = frozenset(kernel.machine_ids)
+            n_on = 0
+            items = []
+            for m in machine_list:
+                state = m.state
+                if state is off_state:
+                    continue
+                if state is on_state:
+                    n_on += 1
+                items.append(
+                    (m.machine_id, 0.0)
+                    if m.machine_id in ready_ids
+                    else (None, m.power_draw)
+                )
+            acc_plan = tuple(items)
+            p_idx = plan_idx.get(acc_plan)
+            if p_idx is None:
+                p_idx = plan_idx[acc_plan] = len(plans)
+                plans.append(acc_plan)
+                plan_steady.append(len(items) == len(ready))
+            if n_on > on_hi:
+                on_hi = n_on
+            if n_on > self.stats.peak_machines_on:
+                self.stats.peak_machines_on = n_on
             batch_mark(len(descs))
             descs_append((t, b, k_idx, p_idx))
-            prev_ready = ready
-            prev_kernel = kernels[k_idx]
             t = b
         # Pending handovers may fire inside _finish's run_until and read
         # loads; leave the final window's assignment in place first.
-        self._refresh_loads(prev_ready, float(values[horizon - 1]), prev_kernel)
+        self._refresh_loads(ready, float(values[horizon - 1]), kernel)
         self.queue.run_until(horizon)
         rates = _rate_index(values, grid_idx)
         self._phase_s["control"] = _time.perf_counter() - t_wall1

@@ -9,7 +9,7 @@ statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -167,16 +167,3 @@ class SimulationResult:
         if np.any(ref <= 0):
             raise ValueError("reference has non-positive daily energy")
         return mine / ref - 1.0
-
-    def summary(self) -> Dict[str, float]:
-        """Flat dict used by report tables."""
-        qos = self.qos()
-        return {
-            "scenario": self.scenario,
-            "total_energy_kwh": self.total_energy_kwh,
-            "mean_power_w": self.mean_power,
-            "reconfigurations": float(self.n_reconfigurations),
-            "switch_energy_kwh": self.switch_energy / 3.6e6,
-            "unserved_demand": qos.unserved_demand,
-            "violation_seconds": float(qos.violation_seconds),
-        }

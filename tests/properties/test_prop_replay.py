@@ -5,9 +5,9 @@ combination kernels: the two-phase engine of
 :class:`repro.sim.loop.EventDrivenReplay` (decision walk, control pass,
 grouped serving-set kernels, journaled array ledger) must be
 **bit-identical** to the per-second FSM reference — power series,
-unserved series, per-machine meter totals, whole reconfiguration records
-and machine-level counters — including under nonzero instance start/stop
-times and both balancing strategies.
+unserved series, per-machine meter totals, whole reconfiguration records,
+machine-level counters and the machine and instance state left behind —
+on plain, power-capped and bounded-inventory tables.
 """
 
 from functools import lru_cache
@@ -21,9 +21,8 @@ from repro.core.bml import design
 from repro.core.prediction import LookAheadMaxPredictor
 from repro.core.profiles import table_i_profiles
 from repro.core.scheduler import BMLScheduler
-from repro.sim.application import ApplicationSpec
 from repro.sim.energy import EnergyMeter
-from repro.sim.loadbalancer import LoadBalancer
+from repro.sim.loadbalancer import balance, serving_set_kernel
 from repro.sim.loop import EventDrivenReplay
 from repro.sim.powercap import capped_profile
 from repro.workload.trace import LoadTrace
@@ -60,17 +59,13 @@ def stepped_trace(draw):
 ALL_ENGINES = ("reference", "twophase")
 
 
-def _run_pair(infra, trace, window, spec, strategy):
+def _run_pair(infra, trace, window):
     table = infra.table(3000.0)
     results = []
     replays = []
     for engine in ALL_ENGINES:
         replay = EventDrivenReplay(
-            table,
-            trace,
-            predictor=LookAheadMaxPredictor(window),
-            app_spec=spec,
-            balancer=LoadBalancer(strategy),
+            table, trace, predictor=LookAheadMaxPredictor(window)
         )
         results.append(replay.run(engine=engine))
         replays.append(replay)
@@ -85,7 +80,7 @@ def _object_state(replay):
         for m in replay.cluster.machines()
     ]
     instances = sorted(
-        (i.machine.machine_id, i.instance_id, i.started_at, i.ready_at)
+        (i.machine.machine_id, i.instance_id, i.started_at)
         for i in replay.app.instances
     )
     return machines, instances
@@ -107,17 +102,9 @@ def _assert_identical(ref, other, ref_replay, other_replay):
 
 class TestEngineEquivalence:
     @settings(max_examples=20, deadline=None)
-    @given(
-        stepped_trace(),
-        st.integers(10, 400),
-        st.sampled_from([(0.0, 0.0), (0.5, 0.5), (3.0, 2.5), (0.0, 7.0)]),
-        st.sampled_from(["efficient", "proportional"]),
-    )
-    def test_bit_identical_to_reference(self, infra, trace, window, times, strategy):
-        """Nonzero instance start/stop times included via ``times``."""
-        stop, start = times
-        spec = ApplicationSpec(stop_time=stop, start_time=start)
-        results, replays = _run_pair(infra, trace, window, spec, strategy)
+    @given(stepped_trace(), st.integers(10, 400))
+    def test_bit_identical_to_reference(self, infra, trace, window):
+        results, replays = _run_pair(infra, trace, window)
         ref, ref_replay = results[0], replays[0]
         for other, other_replay in zip(results[1:], replays[1:]):
             _assert_identical(ref, other, ref_replay, other_replay)
@@ -190,24 +177,15 @@ def _capped_infra(frac: float):
 class TestTwoPhaseScenarios:
     """PR 6: the two-phase engine under the harder scenario shapes.
 
-    The base equivalence property covers nonzero instance start/stop
-    times; these pin the remaining ISSUE 6 scenario axes — power-capped
-    profiles and bounded machine inventories — plus the control pass's
-    purity (descriptor emission must not depend on evaluation running).
+    These pin power-capped profiles and bounded machine inventories,
+    plus the control pass's purity (descriptor emission must not depend
+    on evaluation running).
     """
 
     @settings(max_examples=10, deadline=None)
-    @given(
-        stepped_trace(),
-        st.sampled_from([0.5, 0.7, 0.9]),
-        st.sampled_from(["efficient", "proportional"]),
-    )
-    def test_powercap_bit_identical(self, trace, frac, strategy):
-        infra = _capped_infra(frac)
-        results, replays = _run_pair(
-            infra, trace, 200,
-            ApplicationSpec(stop_time=0.0, start_time=0.0), strategy,
-        )
+    @given(stepped_trace(), st.sampled_from([0.5, 0.7, 0.9]))
+    def test_powercap_bit_identical(self, trace, frac):
+        results, replays = _run_pair(_capped_infra(frac), trace, 200)
         ref, ref_replay = results[0], replays[0]
         for other, other_replay in zip(results[1:], replays[1:]):
             _assert_identical(ref, other, ref_replay, other_replay)
@@ -306,7 +284,7 @@ def periodic_trace(draw):
 _BOUNDED_INVENTORY = {"paravance": 1, "chromebook": 8, "raspberry": 8}
 
 
-def _replay_builder(infra, trace, table_kind, spec, strategy, window):
+def _replay_builder(infra, trace, table_kind, window):
     """``build()`` for a fresh replay over one of three tables: the plain
     table, a power-capped design, or a bounded inventory's clamped
     ``plan_detailed`` table (``test_constrained_nodes_bit_identical``'s
@@ -325,8 +303,7 @@ def _replay_builder(infra, trace, table_kind, spec, strategy, window):
 
     def build():
         return EventDrivenReplay(
-            table, trace, predictor=predictor, app_spec=spec,
-            balancer=LoadBalancer(strategy), inventory=inventory,
+            table, trace, predictor=predictor, inventory=inventory
         )
 
     return build
@@ -350,38 +327,20 @@ class TestTemplatedEpisodes:
     @settings(max_examples=40, deadline=None)
     @given(
         periodic_trace(),
-        st.sampled_from([(0.0, 0.0), (0.5, 0.5), (3.0, 2.5), (0.0, 7.0)]),
-        st.sampled_from(["efficient", "proportional"]),
         st.sampled_from(["plain", "capped", "bounded"]),
         st.sampled_from([60, 200]),
     )
-    def test_periodic_bit_identical(
-        self, infra, trace, times, strategy, table_kind, window
-    ):
-        stop, start = times
-        spec = ApplicationSpec(stop_time=stop, start_time=start)
-        self._check(
-            _replay_builder(infra, trace, table_kind, spec, strategy, window)
-        )
+    def test_periodic_bit_identical(self, infra, trace, table_kind, window):
+        self._check(_replay_builder(infra, trace, table_kind, window))
 
-    @pytest.mark.parametrize(
-        "stop, start, templated",
-        [(0.5, 0.5, True), (0, 1, True), (0.1, 0.2, False)],
-    )
-    def test_square_wave_replays_templates(
-        self, infra, stop, start, templated
-    ):
+    def test_square_wave_replays_templates(self, infra):
         """Deterministic hit case: the property above must keep reaching
-        the templated path, not only the FSM.  Integer delays template
-        too; delays that are not multiples of 2**-10 s switch it off."""
+        the templated path, not only the FSM."""
         period = np.concatenate([np.full(600, 200.0), np.full(600, 1400.0)])
         trace = LoadTrace(np.tile(period, 6))
-        spec = ApplicationSpec(stop_time=stop, start_time=start)
-        two = self._check(
-            _replay_builder(infra, trace, "plain", spec, "efficient", 60)
-        )
-        assert (two.meta["templated_episodes"] > 0) is templated
-        assert (two.meta["episode_templates"] > 0) is templated
+        two = self._check(_replay_builder(infra, trace, "plain", 60))
+        assert two.meta["episode_templates"] > 0
+        assert two.meta["templated_episodes"] > 0
 
 
 @st.composite
@@ -496,18 +455,9 @@ class TestRateIndex:
             assert all(bundle[3] == bundle[5] for bundle in seg_eval)
 
     @settings(max_examples=15, deadline=None)
-    @given(
-        integral_trace(),
-        st.sampled_from([(0.0, 0.0), (0.5, 0.5), (3.0, 2.5)]),
-        st.sampled_from(["efficient", "proportional"]),
-        st.sampled_from(["plain", "capped", "bounded"]),
-    )
-    def test_integral_bit_identical(
-        self, infra, trace, times, strategy, table_kind
-    ):
-        stop, start = times
-        spec = ApplicationSpec(stop_time=stop, start_time=start)
-        build = _replay_builder(infra, trace, table_kind, spec, strategy, 200)
+    @given(integral_trace(), st.sampled_from(["plain", "capped", "bounded"]))
+    def test_integral_bit_identical(self, infra, trace, table_kind):
+        build = _replay_builder(infra, trace, table_kind, 200)
         replays = [build() for _ in ALL_ENGINES]
         results = [r.run(engine=e) for r, e in zip(replays, ALL_ENGINES)]
         _assert_identical(results[0], results[1], replays[0], replays[1])
@@ -696,27 +646,7 @@ class TestReconfigSchedule:
         table = _capped_infra(frac).table(3000.0)
         self._assert_schedule_matches_reference(
             lambda: EventDrivenReplay(
-                table, trace,
-                predictor=LookAheadMaxPredictor(200),
-                app_spec=ApplicationSpec(),
-            )
-        )
-
-    @settings(max_examples=6, deadline=None)
-    @given(
-        stepped_trace(),
-        st.sampled_from([(0.5, 0.5), (3.0, 2.5), (0.0, 7.0)]),
-    )
-    def test_schedule_matches_fsm_with_start_stop_times(
-        self, infra, trace, times
-    ):
-        stop, start = times
-        table = infra.table(3000.0)
-        self._assert_schedule_matches_reference(
-            lambda: EventDrivenReplay(
-                table, trace,
-                predictor=LookAheadMaxPredictor(200),
-                app_spec=ApplicationSpec(stop_time=stop, start_time=start),
+                table, trace, predictor=LookAheadMaxPredictor(200)
             )
         )
 
@@ -750,9 +680,7 @@ class TestWindowedBalancer:
     @given(st.data())
     def test_balance_series_matches_per_second(self, toy_profiles, data):
         """The serving-set kernel's balance series is per-second
-        ``LoadBalancer.balance`` plus ``idle + slope * load`` draws, bit
-        for bit."""
-        from repro.sim.loadbalancer import serving_set_kernel
+        ``balance`` plus ``idle + slope * load`` draws, bit for bit."""
         from repro.sim.machine import Machine, MachineState
 
         big, little = toy_profiles
@@ -762,7 +690,6 @@ class TestWindowedBalancer:
             m = Machine(machine_id=f"m{i}", profile=prof, meter=meter)
             m.state = MachineState.ON
             machines.append(m)
-        strategy = data.draw(st.sampled_from(["efficient", "proportional"]))
         n = data.draw(st.integers(1, 60))
         rates = np.array(
             data.draw(
@@ -773,11 +700,10 @@ class TestWindowedBalancer:
                 )
             )
         )
-        lb = LoadBalancer(strategy)
-        window = serving_set_kernel(strategy, machines).evaluate(rates)
+        window = serving_set_kernel(machines).evaluate(rates)
         unserved, loads, draws = window.unserved, window.loads, window.draws
         for k, rate in enumerate(rates):
-            scalar = lb.balance(float(rate), machines)
+            scalar = balance(float(rate), machines)
             assert scalar.unserved == unserved[k]
             for i, m in enumerate(machines):
                 share = scalar.shares[m.machine_id]

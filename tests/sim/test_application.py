@@ -30,12 +30,7 @@ class TestSpec:
         with pytest.raises(ApplicationError):
             ApplicationSpec(min_instances=3, max_instances=2)
         with pytest.raises(ApplicationError):
-            ApplicationSpec(stop_time=-1.0)
-        with pytest.raises(ApplicationError):
             ApplicationSpec(malleable=False, max_instances=None)
-
-    def test_migration_time(self):
-        assert ApplicationSpec(stop_time=0.4, start_time=0.6).migration_time == 1.0
 
 
 class TestDeploy:
@@ -44,7 +39,7 @@ class TestDeploy:
         m = on_machine(cluster)
         inst = app.deploy(m, 5.0)
         assert app.instance_on(m) is inst
-        assert inst.ready_at == pytest.approx(5.0 + 0.5)
+        assert inst.started_at == 5.0
 
     def test_rejects_off_machine(self, cluster):
         app = Application(ApplicationSpec())
@@ -88,26 +83,11 @@ class TestRetireAndMigrate:
             app.retire(on_machine(cluster), 0.0)
 
     def test_migrate_moves_instance(self, cluster):
-        app = Application(ApplicationSpec(stop_time=0.5, start_time=0.5))
+        app = Application(ApplicationSpec())
         src = on_machine(cluster)
         dst = on_machine(cluster, "chromebook")
         app.deploy(src, 0.0)
         inst = app.migrate(src, dst, 10.0)
         assert app.instance_on(src) is None
         assert app.instance_on(dst) is inst
-        assert inst.ready_at == pytest.approx(11.0)
-
-    def test_ready_machines_respects_ready_at(self, cluster):
-        app = Application(ApplicationSpec(start_time=2.0))
-        m = on_machine(cluster)
-        app.deploy(m, 0.0)
-        assert app.ready_machines(1.0) == []
-        assert app.ready_machines(2.0) == [m]
-
-    def test_instance_not_ready_when_machine_stops(self, cluster):
-        app = Application(ApplicationSpec(start_time=0.0))
-        m = on_machine(cluster)
-        inst = app.deploy(m, 0.0)
-        assert inst.is_ready(0.0)
-        m.power_off(1.0)
-        assert not inst.is_ready(1.0)
+        assert inst.started_at == 10.0

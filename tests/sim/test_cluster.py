@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.combination import Combination
 from repro.core.profiles import TABLE_I, table_i_profiles
 from repro.sim.cluster import Cluster, InventoryError
 from repro.sim.machine import MachineError, MachineState
@@ -43,7 +42,8 @@ class TestUnboundedPool:
         cluster = Cluster([R])
         started = cluster.boot("raspberry", 3, 0.0)
         assert len(started) == 3
-        assert cluster.count("raspberry", MachineState.BOOTING) == 3
+        assert cluster.machines("raspberry") == started
+        assert all(m.state is MachineState.BOOTING for m in started)
 
     def test_unknown_architecture_rejected(self):
         with pytest.raises(InventoryError):
@@ -57,40 +57,14 @@ class TestBoundedInventory:
         with pytest.raises(InventoryError):
             cluster.boot("raspberry", 1, 0.0)
 
-    def test_can_provide(self):
-        cluster = Cluster([P, R], inventory={"paravance": 1, "raspberry": 5})
-        assert cluster.can_provide(Combination.of({P: 1, R: 5}))
-        assert not cluster.can_provide(Combination.of({P: 2}))
-
-    def test_unbounded_can_provide_any_known(self):
-        cluster = Cluster([P, R])
-        assert cluster.can_provide(Combination.of({P: 99}))
-        other = TABLE_I["taurus"]
-        assert not cluster.can_provide(Combination.of({other: 1}))
-
 
 class TestQueries:
-    def test_online_capacity_counts_only_on(self):
-        cluster = Cluster([R])
-        machines = cluster.boot("raspberry", 2, 0.0)
-        assert cluster.online_capacity() == 0.0
-        for m in machines:
-            m.complete_boot(16.0)
-        assert cluster.online_capacity() == 18.0
-
     def test_total_power_sums_states(self):
         cluster = Cluster([R])
         m1, m2 = cluster.boot("raspberry", 2, 0.0)
         m1.complete_boot(16.0)
         expected = 3.1 + 40.5 / 16  # one idle + one still booting
         assert cluster.total_power() == pytest.approx(expected)
-
-    def test_state_counts_snapshot(self):
-        cluster = Cluster([R, P])
-        cluster.boot("raspberry", 2, 0.0)
-        snap = cluster.state_counts()
-        assert snap["raspberry"] == {"booting": 2}
-        assert snap["paravance"] == {}
 
 
 class TestVictimSelection:

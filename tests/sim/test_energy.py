@@ -45,6 +45,16 @@ class TestBreakpoints:
         power_breakpoints(combo)
         assert pickle.dumps(combo) == before
 
+    def test_counts_memo_is_not_pickled(self):
+        """Reconfiguration planning reads ``counts`` (``diff``,
+        ``union_max``); that memo must not grow the pickle either."""
+        combo = Combination.of({P: 1, C: 2, R: 3})
+        before = pickle.dumps(combo)
+        combo.counts
+        combo.diff(Combination.of({P: 2}))
+        assert pickle.dumps(combo) == before
+        assert pickle.loads(before).counts == combo.counts
+
 
 class TestCombinationPower:
     def test_matches_combination_method(self):

@@ -23,17 +23,14 @@ class TestScheduling:
         q.run_until(3.0)
         assert fired == ["first", "second", "third"]
 
-    def test_schedule_in_is_relative(self):
-        q = EventQueue()
-        q.run_until(10.0)
-        ev = q.schedule_in(5.0, lambda: None)
-        assert ev.time == 15.0
-
     def test_rejects_past_scheduling(self):
         q = EventQueue()
         q.run_until(10.0)
         with pytest.raises(SimulationClockError):
             q.schedule(5.0, lambda: None)
+
+    def test_peek_on_empty_returns_none(self):
+        assert EventQueue().peek_time() is None
 
 
 class TestRunUntil:
@@ -70,31 +67,3 @@ class TestRunUntil:
         q.run_until(10.0)
         assert fired == ["first", "chained"]
 
-
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        q = EventQueue()
-        fired = []
-        ev = q.schedule(1.0, fired.append, "no")
-        ev.cancel()
-        q.run_until(5.0)
-        assert fired == []
-
-    def test_len_ignores_cancelled(self):
-        q = EventQueue()
-        ev = q.schedule(1.0, lambda: None)
-        q.schedule(2.0, lambda: None)
-        assert len(q) == 2
-        ev.cancel()
-        assert len(q) == 1
-
-    def test_peek_skips_cancelled(self):
-        q = EventQueue()
-        ev = q.schedule(1.0, lambda: None)
-        q.schedule(2.0, lambda: None)
-        ev.cancel()
-        assert q.peek_time() == 2.0
-
-    def test_pop_on_empty_returns_none(self):
-        assert EventQueue().pop() is None
-        assert EventQueue().peek_time() is None

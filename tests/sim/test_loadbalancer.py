@@ -1,10 +1,10 @@
-"""Unit tests for the load balancer strategies."""
+"""Unit tests for the load balancer's marginal-cost fill."""
 
 import pytest
 
 from repro.core.profiles import TABLE_I
 from repro.sim.cluster import Cluster
-from repro.sim.loadbalancer import LoadBalancer
+from repro.sim.loadbalancer import balance
 
 
 @pytest.fixture()
@@ -19,66 +19,58 @@ def machines():
 
 
 class TestValidation:
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            LoadBalancer("random")
-
     def test_negative_rate(self, machines):
         with pytest.raises(ValueError):
-            LoadBalancer().balance(-1.0, machines)
+            balance(-1.0, machines)
 
 
 class TestEfficientStrategy:
     def test_fills_cheapest_slope_first(self, machines):
         # raspberry slope 0.0667 < paravance slope 0.0981
-        a = LoadBalancer("efficient").balance(12.0, machines)
+        a = balance(12.0, machines)
         rasp_share = sum(v for k, v in a.shares.items() if k.startswith("raspberry"))
         assert rasp_share == pytest.approx(12.0 if 12.0 <= 18 else 18)
         assert a.unserved == 0.0
 
     def test_overflow_to_next_machine(self, machines):
-        a = LoadBalancer("efficient").balance(100.0, machines)
+        a = balance(100.0, machines)
         par_share = sum(v for k, v in a.shares.items() if k.startswith("paravance"))
         assert par_share == pytest.approx(100.0 - 18.0)
 
     def test_saturation_reports_unserved(self, machines):
-        a = LoadBalancer("efficient").balance(2000.0, machines)
+        a = balance(2000.0, machines)
         assert a.served == pytest.approx(1349.0)
         assert a.unserved == pytest.approx(651.0)
 
     def test_zero_rate(self, machines):
-        a = LoadBalancer().balance(0.0, machines)
+        a = balance(0.0, machines)
         assert all(v == 0.0 for v in a.shares.values())
 
     def test_no_machines(self):
-        a = LoadBalancer().balance(10.0, [])
+        a = balance(10.0, [])
         assert a.served == 0.0 and a.unserved == 10.0
 
 
-class TestProportionalStrategy:
-    def test_equal_utilisation(self, machines):
-        a = LoadBalancer("proportional").balance(674.5, machines)  # 50 % of 1349
-        for m in machines:
-            assert a.shares[m.machine_id] == pytest.approx(0.5 * m.profile.max_perf)
-
-    def test_full_load_everyone_at_max(self, machines):
-        a = LoadBalancer("proportional").balance(1349.0, machines)
-        for m in machines:
-            assert a.shares[m.machine_id] == pytest.approx(m.profile.max_perf)
-
-
 class TestApply:
+    """The reference replay applies each share to its machine."""
+
+    @staticmethod
+    def _apply(rate, machines, now):
+        a = balance(rate, machines)
+        for m in machines:
+            m.assign_load(a.shares[m.machine_id], now)
+
     def test_apply_pushes_loads_to_machines(self, machines):
-        LoadBalancer().apply(50.0, machines, now=1.0)
+        self._apply(50.0, machines, now=1.0)
         assert sum(m.load for m in machines) == pytest.approx(50.0)
 
     def test_power_matches_combination_model(self, machines):
-        """The efficient strategy realises exactly the analytical
-        combination power used by the fast path."""
+        """The fill realises exactly the analytical combination power
+        used by the fast path."""
         from repro.core.combination import Combination
         from repro.sim.energy import combination_power
 
-        LoadBalancer("efficient").apply(321.0, machines, now=0.0)
+        self._apply(321.0, machines, now=0.0)
         actual = sum(m.power_draw for m in machines)
         combo = Combination.of(
             {TABLE_I["paravance"]: 1, TABLE_I["raspberry"]: 2}

@@ -89,7 +89,3 @@ class TestComparisons:
         b = result(np.full(2 * SECONDS_PER_DAY, 1.0))
         with pytest.raises(ValueError):
             a.overhead_vs(b)
-
-    def test_summary_keys(self):
-        s = result([1.0]).summary()
-        assert {"scenario", "total_energy_kwh", "reconfigurations"} <= set(s)

@@ -10,11 +10,7 @@ import numpy as np
 import pytest
 
 from repro.sim.energy import EnergyMeter
-from repro.sim.loadbalancer import (
-    LoadBalancer,
-    ServingSetKernel,
-    serving_set_kernel,
-)
+from repro.sim.loadbalancer import balance, serving_set_kernel
 from repro.sim.machine import Machine, MachineState
 
 pytestmark = pytest.mark.quick
@@ -33,16 +29,13 @@ def machines(toy_profiles):
 
 
 class TestKernelEquivalence:
-    """kernel.evaluate == per-second LoadBalancer.balance + draws, bit for bit."""
+    """kernel.evaluate == per-second balance + draws, bit for bit."""
 
-    @pytest.mark.parametrize("strategy", ["efficient", "proportional"])
-    def test_matches_balance_series(self, machines, strategy):
+    def test_matches_balance_series(self, machines):
         rng = np.random.default_rng(7)
         rates = np.round(rng.uniform(0.0, 150.0, size=200), 1)  # repeats
-        lb = LoadBalancer(strategy)
-        kernel = serving_set_kernel(strategy, machines)
-        window = kernel.evaluate(rates)
-        scalar = [lb.balance(float(r), machines) for r in rates]
+        window = serving_set_kernel(machines).evaluate(rates)
+        scalar = [balance(float(r), machines) for r in rates]
         assert np.array_equal(window.unserved, [a.unserved for a in scalar])
         for i, m in enumerate(machines):
             shares = np.array([a.shares[m.machine_id] for a in scalar])
@@ -53,9 +46,16 @@ class TestKernelEquivalence:
             )
 
     def test_negative_rates_rejected_unless_prevalidated(self, machines):
-        kernel = serving_set_kernel("efficient", machines)
+        kernel = serving_set_kernel(machines)
         with pytest.raises(ValueError):
             kernel.evaluate(np.array([1.0, -0.5]))
+
+    def test_empty_serving_set_leaves_every_rate_unserved(self):
+        rates = np.array([0.0, 3.5, 120.0])
+        window = serving_set_kernel([]).evaluate(rates)
+        assert window.loads == () and window.draws == ()
+        assert np.array_equal(window.unserved, rates)
+        assert serving_set_kernel([]).loads_at(3.5) == []
 
 
 class TestDeferredLedger:
